@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .errors import (
@@ -30,6 +31,7 @@ from .errors import (
     IterationLimitExceeded,
     ParseError,
     PGroebnerError,
+    ValidationFailed,
 )
 from .groebner import (
     DEFAULT_MAX_STEPS,
@@ -37,8 +39,6 @@ from .groebner import (
     buchberger,
     check_plm,
     is_groebner,
-    lead_data,
-    _covers,
 )
 from .lrr import DEFAULT_ENUM_CAP, SequenceInput, enumerate_shortest, shortest_lrr
 from .pbasis import build_p_basis, check_p_plm
@@ -52,7 +52,7 @@ from .reports import (
     render_p_basis_doc,
     render_p_basis_human,
 )
-from .ring import Zpr
+from .ring import _MAX_PRIME, Zpr
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -68,6 +68,8 @@ def _factor_prime_power(n: int) -> tuple[int, int]:
     while p * p <= n:
         if n % p == 0:
             break
+        if p >= _MAX_PRIME:
+            raise ParseError(f"{n} is not a power of a prime <= 2^16")
         p += 1
     else:
         return n, 1
@@ -237,13 +239,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if not is_groebner(rows, order):
         print("check: FAIL - the rows are not a Groebner basis of their span")
         return EXIT_PROPERTY
-    leads = [lead_data(g, order) for g in rows]
-    for i, di in enumerate(leads):
-        for j, dj in enumerate(leads):
-            if i != j and _covers(dj, di):
-                print(f"check: FAIL - row {i + 1} is reducible by row {j + 1}")
-                return EXIT_PROPERTY
-    G = GroebnerBasis.from_elements(rows, order)
+    try:
+        G = GroebnerBasis.from_elements(rows, order)
+    except ValidationFailed as exc:
+        print(f"check: FAIL - {exc}")
+        return EXIT_PROPERTY
     print(f"groebner: ok ({len(G)} elements, minimal)")
     if ring.r == 1:
         report = check_plm(list(G.elements), order, trials=args.trials, seed=args.seed)
@@ -255,9 +255,23 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_PROPERTY
 
 
+def _attach_seq_value(argv: list[str]) -> list[str]:
+    """Rewrite '--seq -1,3' as '--seq=-1,3'.
+
+    argparse takes a separate value that starts with '-' and is not a plain
+    number for a flag; attached with '=' it stays the value of --seq.
+    """
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        if out[i] == "--seq" and re.match(r"-\d", out[i + 1]):
+            out[i : i + 2] = [f"--seq={out[i + 1]}"]
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_seq_value(argv))
     handlers = {
         "gb": _cmd_gb,
         "pbasis": _cmd_pbasis,

@@ -30,6 +30,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -40,7 +41,7 @@ from .errors import (
     ValidationFailed,
     ZeroVector,
 )
-from .polyvec import Monomial, MonomialOrder, Poly, PolyVec
+from .polyvec import Monomial, MonomialOrder, Poly, PolyVec, combine
 from .ring import Zpr
 
 DEFAULT_MAX_STEPS = 10**6
@@ -80,26 +81,18 @@ def _quotient(ring: Zpr, target: int, by: int) -> int:
 
 
 def _pick_reducer(
-    f: PolyVec, reducers: list[PolyVec], order: MonomialOrder
-) -> tuple[int, PolyVec] | None:
-    """Largest-lm applicable reducer (lm divides, ord suffices); ties by index."""
-    ring = f.ring
-    c, m = f.lt(order)
-    ord_f = ring.ord(c)
-    best = None
-    best_key = None
-    for i, g in enumerate(reducers):
+    mono: Monomial, min_ord: int, reducers: list[PolyVec], order: MonomialOrder
+) -> PolyVec | None:
+    """Largest-lm reducer whose lm divides mono and whose ord is >= min_ord; ties by index."""
+    best = best_key = None
+    for g in reducers:
         if g.is_zero():
             raise ZeroVector("reducers must be nonzero")
         gm = g.lm(order)
-        if not gm.divides(m):
-            continue
-        if ring.ord(g.terms[gm]) < ord_f:
-            continue
-        key = (order.key(gm), -i)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (i, g)
+        if gm.divides(mono) and g.ring.ord(g.terms[gm]) >= min_ord:
+            key = order.key(gm)
+            if best_key is None or key > best_key:  # strict, so the first index wins ties
+                best, best_key = g, key
     return best
 
 
@@ -112,11 +105,10 @@ def reduce_step(f: PolyVec, F: list[PolyVec], order: MonomialOrder) -> PolyVec:
     """
     if f.is_zero():
         raise ZeroVector("cannot reduce the zero vector")
-    picked = _pick_reducer(f, F, order)
-    if picked is None:
-        raise NotReducible("leading term not cancellable by the given reducers")
-    _, g = picked
     c, m = f.lt(order)
+    g = _pick_reducer(m, f.ring.ord(c), F, order)
+    if g is None:
+        raise NotReducible("leading term not cancellable by the given reducers")
     gc, gm = g.lt(order)
     h = f - g.term_mul(_quotient(f.ring, c, gc), m.alpha - gm.alpha)
     assert h.is_zero() or order.compare(h.lm(order), m) < 0
@@ -190,29 +182,17 @@ def _cancel_unit_tails(
     out = list(elements)
     for i in range(len(out) - 1, -1, -1):
         g = out[i]
+        others = out[:i] + out[i + 1 :]
         lead = g.lm(order)
         while True:
-            hit = None
             for mono, c in g.sorted_terms(order):
-                if mono == lead:
-                    continue
-                cand = None
-                for j, h in enumerate(out):
-                    if j == i:
-                        continue
-                    hm = h.lm(order)
-                    if h.ord(order) == ring.r and hm.divides(mono):
-                        key = (order.key(hm), -j)
-                        if cand is None or key > cand[0]:
-                            cand = (key, h, hm)
-                if cand is not None:
-                    hit = (mono, c, cand[1], cand[2])
+                h = None if mono == lead else _pick_reducer(mono, ring.r, others, order)
+                if h is not None:
+                    # lc(h) == 1 after normalization, so the quotient is c itself
+                    g = g - h.term_mul(c, mono.alpha - h.lm(order).alpha)
                     break
-            if hit is None:
+            else:  # no tail term is covered any more
                 break
-            mono, c, h, hm = hit
-            # lc(h) == 1 after normalization, so the quotient is c itself
-            g = g - h.term_mul(c, mono.alpha - hm.alpha)
         out[i] = g
     return out
 
@@ -276,24 +256,24 @@ class GroebnerBasis:
                 raise ValidationFailed("zero element in basis")
             if g.ring != ring or g.q != q:
                 raise ValidationFailed("mixed rings or dimensions in basis")
-        if len(self.elements) > q * ring.r:
-            raise ValidationFailed(f"basis has {len(self.elements)} > q*r elements")
         for i, di in enumerate(self.leads):
             if ring.unit_part(di.lc) != 1:
                 raise ValidationFailed(f"element {i} has unnormalized lc {di.lc}")
+            for j, dj in enumerate(self.leads):
+                if j != i and _covers(dj, di):
+                    raise ValidationFailed(f"element {i} is reducible by element {j}")
             if i + 1 < len(self.leads):
                 nxt = self.leads[i + 1]
                 if self.order.compare(di.lm, nxt.lm) <= 0:
                     raise ValidationFailed("elements not strictly descending by lm")
-            for j, dj in enumerate(self.leads):
-                if j != i and _covers(dj, di):
-                    raise ValidationFailed(f"element {i} is reducible by element {j}")
             for j in range(i):
                 dj = self.leads[j]
                 if dj.lpos == di.lpos and not (dj.deg > di.deg and dj.ord > di.ord):
                     raise ValidationFailed(
                         f"same-position monotonicity violated at {j}, {i}"
                     )
+        if len(self.elements) > q * ring.r:
+            raise ValidationFailed(f"basis has {len(self.elements)} > q*r elements")
 
 
 def _check_inputs(generators: list[PolyVec]) -> tuple[Zpr, int]:
@@ -411,19 +391,47 @@ class PlmReport:
         return f"FAIL after {self.trials} trials (seed {self.seed}): {self.detail} [{witness}]"
 
 
-def _random_poly(ring: Zpr, rng: random.Random, deg_bound: int, coeff_bound: int) -> Poly:
-    return Poly(ring, [rng.randrange(coeff_bound) for _ in range(deg_bound + 1)])
+def _sample_plm(
+    vectors: Sequence[PolyVec],
+    order: MonomialOrder,
+    trials: int,
+    seed: int,
+    deg_bound: int,
+    zero_fails: bool,
+) -> PlmReport:
+    """Sample tuples a_i of digit polynomials and test lm(sum a_i v_i) against
+    its prediction, the largest lm(a_i)*lm(v_i) over nonzero a_i.
 
-
-def _expected_lm(
-    coeffs: list[Poly], vectors: list[PolyVec], order: MonomialOrder
-) -> Monomial:
-    prods = [
-        Monomial(v.lm(order).alpha + a.degree, v.lm(order).pos)
-        for a, v in zip(coeffs, vectors)
-        if not a.is_zero()
-    ]
-    return order.max(prods)
+    A nontrivial tuple whose combination is zero is a failure when
+    zero_fails (p-linear independence) and is skipped otherwise.
+    """
+    ring = vectors[0].ring
+    rng = random.Random(seed)
+    for t in range(1, trials + 1):
+        coeffs = [
+            Poly(ring, [rng.randrange(ring.p) for _ in range(deg_bound + 1)])
+            for _ in vectors
+        ]
+        if all(a.is_zero() for a in coeffs):
+            continue
+        f = combine(coeffs, vectors)
+        if f.is_zero():
+            if not zero_fails:
+                continue
+            detail = "nontrivial digit combination is zero"
+        else:
+            expected = order.max(
+                v.lm(order).shifted(a.degree)
+                for a, v in zip(coeffs, vectors)
+                if not a.is_zero()
+            )
+            if f.lm(order) == expected:
+                continue
+            detail = f"lm {f.lm(order)} != predicted {expected}"
+        return PlmReport(
+            passed=False, trials=t, seed=seed, counterexample=tuple(coeffs), detail=detail
+        )
+    return PlmReport(passed=True, trials=trials, seed=seed)
 
 
 def check_plm(
@@ -439,26 +447,7 @@ def check_plm(
     degree <= deg_bound, forms f = sum a_i f_i, and whenever f != 0 checks
     lm(f) == max over nonzero a_i of lm(a_i)*lm(f_i).
     """
-    ring, q = _check_inputs(F)
+    ring, _ = _check_inputs(F)
     if ring.r != 1:
         raise RingNotField("the PLM property check is defined for r = 1 only")
-    rng = random.Random(seed)
-    for t in range(1, trials + 1):
-        coeffs = [_random_poly(ring, rng, deg_bound, ring.p) for _ in F]
-        if all(a.is_zero() for a in coeffs):
-            continue
-        f = PolyVec.zero(ring, q)
-        for a, g in zip(coeffs, F):
-            f = f + g.poly_mul(a)
-        if f.is_zero():
-            continue
-        expected = _expected_lm(coeffs, F, order)
-        if f.lm(order) != expected:
-            return PlmReport(
-                passed=False,
-                trials=t,
-                seed=seed,
-                counterexample=tuple(coeffs),
-                detail=f"lm {f.lm(order)} != predicted {expected}",
-            )
-    return PlmReport(passed=True, trials=trials, seed=seed)
+    return _sample_plm(F, order, trials, seed, deg_bound, zero_fails=False)

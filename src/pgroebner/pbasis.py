@@ -19,12 +19,11 @@ its leading position, or ord(g_j) when there is none.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, MixedRings, NotInModule, ValidationFailed
-from .groebner import GroebnerBasis, PlmReport, _random_poly
-from .polyvec import Monomial, MonomialOrder, Poly, PolyVec, format_vector
+from .groebner import GroebnerBasis, PlmReport, _sample_plm
+from .polyvec import MonomialOrder, Poly, PolyVec, combine, format_vector
 
 
 @dataclass(frozen=True)
@@ -127,10 +126,7 @@ def build_p_basis(G: GroebnerBasis) -> PBasis:
             raise ValidationFailed(
                 f"p * vector {i} is not a digit combination of the later vectors"
             ) from exc
-        check = PolyVec.zero(ring, pv.q)
-        for a, v in zip(coeffs, tail):
-            check = check + v.poly_mul(a)
-        if check != pv:
+        if combine(coeffs, tail) != pv:
             raise ValidationFailed(f"digit expression for p * vector {i} is inexact")
     return basis
 
@@ -205,10 +201,7 @@ def p_represent(f: PolyVec, basis: PBasis) -> tuple[Poly, ...]:
     if f.q != basis.vectors[0].q:
         raise DimensionMismatch(f"q={f.q} vs q={basis.vectors[0].q}")
     coeffs = _represent(f, basis.vectors, basis.order)
-    check = PolyVec.zero(ring, f.q)
-    for a, v in zip(coeffs, basis.vectors):
-        check = check + v.poly_mul(a)
-    assert check == f
+    assert combine(coeffs, basis.vectors) == f
     return coeffs
 
 
@@ -221,40 +214,7 @@ def check_p_plm(
     that nontrivial tuples give f != 0 (p-linear independence) with
     lm(f) == max over nonzero a_i of lm(a_i)*lm(v_i).
     """
-    ring = basis.ring
-    rng = random.Random(seed)
-    order = basis.order
-    q = basis.vectors[0].q
-    for t in range(1, trials + 1):
-        coeffs = [_random_poly(ring, rng, deg_bound, ring.p) for _ in basis.vectors]
-        if all(a.is_zero() for a in coeffs):
-            continue
-        f = PolyVec.zero(ring, q)
-        for a, v in zip(coeffs, basis.vectors):
-            f = f + v.poly_mul(a)
-        if f.is_zero():
-            return PlmReport(
-                passed=False,
-                trials=t,
-                seed=seed,
-                counterexample=tuple(coeffs),
-                detail="nontrivial digit combination is zero",
-            )
-        prods = [
-            Monomial(v.lm(order).alpha + a.degree, v.lm(order).pos)
-            for a, v in zip(coeffs, basis.vectors)
-            if not a.is_zero()
-        ]
-        expected = order.max(prods)
-        if f.lm(order) != expected:
-            return PlmReport(
-                passed=False,
-                trials=t,
-                seed=seed,
-                counterexample=tuple(coeffs),
-                detail=f"lm {f.lm(order)} != predicted {expected}",
-            )
-    return PlmReport(passed=True, trials=trials, seed=seed)
+    return _sample_plm(basis.vectors, basis.order, trials, seed, deg_bound, zero_fails=True)
 
 
 def format_p_basis(basis: PBasis) -> str:

@@ -17,6 +17,7 @@ Text grammar (used by the CLI and fixtures)::
 
     POLY   := TERM (('+'|'-') TERM)*          e.g.  x^5+4x^4+7x
     TERM   := COEFF | COEFF 'x' | COEFF 'x^' EXP | 'x' | 'x^' EXP
+    EXP    := decimal integer <= MAX_EXPONENT
     VECTOR := '[' POLY (',' POLY)* ']'
     MATRIX := one VECTOR per line ('#' lines and blank lines ignored)
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, MixedRings, ParseError, ZeroVector
 from .ring import Zpr
@@ -278,13 +279,7 @@ class PolyVec:
 
     def poly_mul(self, a: Poly) -> "PolyVec":
         """Multiply by the scalar polynomial a."""
-        if a.ring != self.ring:
-            raise MixedRings(f"{self.ring} vs {a.ring}")
-        out = PolyVec.zero(self.ring, self.q)
-        for gamma, c in enumerate(a.coeffs):
-            if c:
-                out = out + self.term_mul(c, gamma)
-        return out
+        return combine([a], [self])
 
     # -- leading data under an order ---------------------------------------------
 
@@ -334,48 +329,29 @@ class PolyVec:
         return f"PolyVec({self.ring!r}, {format_vector(self)!r})"
 
 
-# -- free-function aliases for the leading-data accessors -----------------------------
-
-
-def lm(f: PolyVec, order: MonomialOrder) -> Monomial:
-    return f.lm(order)
-
-
-def lt(f: PolyVec, order: MonomialOrder) -> tuple[int, Monomial]:
-    return f.lt(order)
-
-
-def lc(f: PolyVec, order: MonomialOrder) -> int:
-    return f.lc(order)
-
-
-def lpos(f: PolyVec, order: MonomialOrder) -> int:
-    return f.lpos(order)
-
-
-def deg(f: PolyVec, order: MonomialOrder) -> int:
-    return f.deg(order)
-
-
-def ord_vec(f: PolyVec, order: MonomialOrder) -> int:
-    """Order of f: the order of its leading coefficient."""
-    return f.ord(order)
-
-
-def add(f: PolyVec, g: PolyVec) -> PolyVec:
-    return f + g
-
-
-def scale(c: int, f: PolyVec) -> PolyVec:
-    return f.scale(c)
-
-
-def shift_mul(a: Poly, f: PolyVec) -> PolyVec:
-    """The product a(x) * f."""
-    return f.poly_mul(a)
+def combine(coeffs: Sequence[Poly], vectors: Sequence[PolyVec]) -> PolyVec:
+    """The combination sum a_i * v_i with scalar polynomial coefficients a_i."""
+    if not vectors or len(coeffs) != len(vectors):
+        raise DimensionMismatch(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
+    ring, q = vectors[0].ring, vectors[0].q
+    terms: dict[Monomial, int] = {}
+    for a, v in zip(coeffs, vectors):
+        if a.ring != ring or v.ring != ring:
+            raise MixedRings(f"{ring} vs {a.ring} and {v.ring}")
+        if v.q != q:
+            raise DimensionMismatch(f"q={q} vs q={v.q}")
+        for gamma, c in enumerate(a.coeffs):
+            if c:
+                for mono, x in v.terms.items():
+                    key = mono.shifted(gamma)
+                    terms[key] = terms.get(key, 0) + c * x
+    return PolyVec(ring, q, terms)
 
 
 # -- text grammar ----------------------------------------------------------------------
+
+# Exponents are stored densely, so x^N costs N+1 slots; larger ones are rejected.
+MAX_EXPONENT = 100_000
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(x(?:\^(\d+))?)?$")
 
@@ -408,13 +384,13 @@ def parse_poly(ring: Zpr, text: str) -> Poly:
         m = _TERM_RE.match(chunk)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise ParseError(f"bad term {chunk!r} in {text!r}")
-        c = int(m.group(1)) if m.group(1) is not None else 1
-        if m.group(2) is None:
-            alpha = 0
-        elif m.group(3) is None:
-            alpha = 1
-        else:
-            alpha = int(m.group(3))
+        try:
+            c = int(m.group(1)) if m.group(1) is not None else 1
+            alpha = 0 if m.group(2) is None else int(m.group(3) or 1)
+        except ValueError as exc:  # more digits than int() accepts
+            raise ParseError(f"number too long in term {chunk[:20]!r}...") from exc
+        if alpha > MAX_EXPONENT:
+            raise ParseError(f"exponent above {MAX_EXPONENT} in term {chunk[:20]!r}")
         coeffs[alpha] = coeffs.get(alpha, 0) + sign * c
         expect_term = False
     if expect_term:

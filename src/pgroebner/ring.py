@@ -49,7 +49,8 @@ class Zpr:
             raise ValueError(f"p must be a prime <= 2^16, got {self.p}")
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
-        if self.p ** self.r >= _MAX_MODULUS:
+        # p >= 2, so r >= 63 is already too wide; test it before computing p**r
+        if self.r >= _MAX_MODULUS.bit_length() - 1 or self.p ** self.r >= _MAX_MODULUS:
             raise ValueError(f"modulus {self.p}^{self.r} exceeds the supported width")
         object.__setattr__(self, "modulus", self.p ** self.r)
 

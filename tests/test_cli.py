@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -71,6 +72,20 @@ class TestGb:
         code, _, _ = run(capsys, ["gb", "--ring", "9", "/nonexistent/file.txt"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "row",
+        ["[" + "7" * 5000 + "x+1]", "[x^" + "9" * 5000 + "]", "[x^1000000000+1]"],
+        ids=["long-coefficient", "long-exponent", "huge-exponent"],
+    )
+    def test_oversized_numbers_are_parse_errors(self, capsys, tmp_path, row):
+        f = tmp_path / "big.txt"
+        f.write_text(row + "\n")
+        start = time.perf_counter()
+        code, _, err = run(capsys, ["gb", "--ring", "9", str(f)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "error" in err
+
     def test_iteration_cap_exit_code(self, capsys, gen_file):
         code, _, err = run(capsys, ["gb", "--ring", "9", "--max-steps", "1", gen_file])
         assert code == 3
@@ -95,6 +110,21 @@ class TestRingFlag:
         code, _, err = run(capsys, ["gb", "--ring", "6", str(f)])
         assert code == 2
         assert "prime power" in err
+
+    @pytest.mark.parametrize(
+        "ring_args",
+        [
+            ["--ring", "100000000000031"],  # prime near 10^14
+            ["--ring", str(2**61 - 1)],  # prime near 2^61
+            ["--p", "3", "--r", "30000000"],
+        ],
+    )
+    def test_oversized_rings_rejected_quickly(self, capsys, ring_args):
+        start = time.perf_counter()
+        code, _, err = run(capsys, ["lrr", *ring_args, "--seq", "1,2"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "error" in err
 
     def test_both_forms_rejected(self, capsys, gen_file):
         code, _, _ = run(capsys, ["gb", "--ring", "9", "--p", "3", "--r", "2", gen_file])
@@ -172,6 +202,13 @@ class TestLrrCommand:
         assert "all shortest recurrences:" in out
         assert "exceeds" in out or "exceed" in err
 
+    def test_negative_values_with_separate_argument(self, capsys):
+        code, out, _ = run(capsys, ["lrr", "--ring", "9", "--seq", "-1,3"])
+        code_eq, out_eq, _ = run(capsys, ["lrr", "--ring", "9", "--seq=-1,3"])
+        assert code == code_eq == 0
+        assert out == out_eq
+        assert "sequence 8,3 over Z_9" in out
+
     def test_bad_sequence_is_parse_error(self, capsys):
         code, _, _ = run(capsys, ["lrr", "--ring", "9", "--seq", "1,4,x"])
         assert code == 2
@@ -205,6 +242,13 @@ class TestCheckCommand:
     def test_non_minimal_input_fails(self, capsys, tmp_path):
         f = tmp_path / "nonmin.txt"
         f.write_text(GB_Z9A_TOP + "[x^3+3x^2+2x, x^3+4x^2]\n")  # x * third row
+        code, out, _ = run(capsys, ["check", "--ring", "9", str(f)])
+        assert code == 5
+        assert "reducible" in out
+
+    def test_repeated_row_fails_as_reducible(self, capsys, tmp_path):
+        f = tmp_path / "repeated.txt"
+        f.write_text(GB_Z9A_TOP + GB_Z9A_TOP.splitlines()[-1] + "\n")
         code, out, _ = run(capsys, ["check", "--ring", "9", str(f)])
         assert code == 5
         assert "reducible" in out

@@ -284,6 +284,10 @@ class TestCheckPlm:
         report = check_plm(F, TOP, trials=500, seed=1)
         assert not report.passed
         assert report.counterexample is not None
+        assert str(report) == (
+            "FAIL after 51 trials (seed 1): lm Monomial(alpha=3, pos=1) != predicted "
+            "Monomial(alpha=5, pos=1) [4x^3+4x^2+4x+4; x^2+x]"
+        )
 
     def test_single_vector_always_passes(self):
         report = check_plm([vec(Z5, "[x^2+1, 3x]")], TOP, trials=300, seed=9)

@@ -168,6 +168,10 @@ class TestCheckPPlm:
         report = check_p_plm(fake, trials=500, seed=2)
         assert not report.passed
         assert report.counterexample is not None
+        assert str(report) == (
+            "FAIL after 6 trials (seed 2): lm Monomial(alpha=3, pos=1) != predicted "
+            "Monomial(alpha=4, pos=1) [x^3+x+1; x^3+x^2+x+1]"
+        )
 
     def test_naive_p_power_expansion_fails_under_top(self):
         # (s1, p*s1, s2, p*s2) spans the module but is not a TOP p-basis:
@@ -181,6 +185,10 @@ class TestCheckPPlm:
         assert TOP.compare(witness.lm(TOP), Monomial(6, 2)) < 0
         report = check_p_plm(raw, trials=500, seed=4)
         assert not report.passed
+        assert str(report) == (
+            "FAIL after 14 trials (seed 4): lm Monomial(alpha=7, pos=2) != predicted "
+            "Monomial(alpha=8, pos=2) [x^3+2x^2+2; 2x^3+2x^2+2x+2; x^2+x; 2x^2+1]"
+        )
 
     def test_single_vector_field_case(self):
         v = vec(Z5, "[x^2+1, 3x]")

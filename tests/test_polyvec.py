@@ -20,6 +20,7 @@ from pgroebner import (
     parse_poly,
     parse_vector,
 )
+from pgroebner.polyvec import combine
 from conftest import Z5, Z9, vec
 
 monomials = st.builds(
@@ -116,6 +117,16 @@ class TestArithmetic:
     def test_shift_mul(self):
         f = vec(Z9, "[1, x]")
         assert f.poly_mul(Poly.monomial(Z9, 1, 2)) == vec(Z9, "[x^2, x^3]")
+        one = Poly.constant(Z9, 1)
+        assert combine([one, Poly.monomial(Z9, 8, 1)], [f, f]) == vec(Z9, "[1+8x, x+8x^2]")
+        with pytest.raises(MixedRings):
+            combine([Poly.constant(Z5, 1)], [f])
+        with pytest.raises(MixedRings):
+            combine([one, one], [f, vec(Z5, "[1, x]")])
+        with pytest.raises(DimensionMismatch):
+            combine([one, one], [f, vec(Z9, "[1, x, 0]")])
+        with pytest.raises(DimensionMismatch):
+            combine([one], [f, f])
 
     def test_no_zero_coefficients_stored(self):
         f = vec(Z9, "[3x+6, 3x]").scale(3)
