@@ -114,25 +114,33 @@ def _read_matrix(ring: Zpr, path: str):
     return parse_matrix(ring, text)
 
 
+def _count(name: str, value: int, low: int = 0) -> int:
+    """value, or ParseError when a count below low would make the run meaningless."""
+    if value < low:
+        raise ParseError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError as exc:
         raise ParseError(f"{name} must be an integer, got {raw!r}") from exc
+    return _count(name, value)
 
 
 def _max_steps(args: argparse.Namespace) -> int:
     if args.max_steps is not None:
-        return args.max_steps
+        return _count("--max-steps", args.max_steps)
     return _env_int("PGROEBNER_MAX_STEPS", DEFAULT_MAX_STEPS)
 
 
 def _max_enum(args: argparse.Namespace) -> int:
     if args.max_enum is not None:
-        return args.max_enum
+        return _count("--max-enum", args.max_enum)
     return _env_int("PGROEBNER_MAX_ENUM", DEFAULT_ENUM_CAP)
 
 
@@ -215,12 +223,11 @@ def _cmd_lrr(args: argparse.Namespace) -> int:
     if not values:
         raise ParseError("empty sequence")
     S = SequenceInput(ring, values)
+    cap = _max_enum(args)
     sol = shortest_lrr(S, max_steps=_max_steps(args))
     code = EXIT_OK
     try:
-        monic = enumerate_shortest(
-            sol, monic_only=not args.all, cap=_max_enum(args)
-        )
+        monic = enumerate_shortest(sol, monic_only=not args.all, cap=cap)
     except EnumerationTooLarge as exc:
         print(f"warning: {exc}", file=sys.stderr)
         monic = None
@@ -235,6 +242,7 @@ def _cmd_lrr(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     ring = _ring_from_args(args)
     order = _order_from_args(args)
+    trials = _count("--trials", args.trials, low=1)
     rows = _read_matrix(ring, args.matrix)
     if not is_groebner(rows, order):
         print("check: FAIL - the rows are not a Groebner basis of their span")
@@ -246,24 +254,28 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return EXIT_PROPERTY
     print(f"groebner: ok ({len(G)} elements, minimal)")
     if ring.r == 1:
-        report = check_plm(list(G.elements), order, trials=args.trials, seed=args.seed)
+        report = check_plm(list(G.elements), order, trials=trials, seed=args.seed)
         label = "plm"
     else:
-        report = check_p_plm(build_p_basis(G), trials=args.trials, seed=args.seed)
+        report = check_p_plm(build_p_basis(G), trials=trials, seed=args.seed)
         label = "p-plm"
     print(f"{label}: {report}")
     return EXIT_OK if report.passed else EXIT_PROPERTY
 
 
 def _attach_seq_value(argv: list[str]) -> list[str]:
-    """Rewrite '--seq -1,3' as '--seq=-1,3'.
+    """Rewrite 'lrr --seq -1,3' (or its abbreviation '--se -1,3') as '--seq=-1,3'.
 
     argparse takes a separate value that starts with '-' and is not a plain
-    number for a flag; attached with '=' it stays the value of --seq.
+    number for a flag; attached with '=' it stays the value of --seq.  Only
+    lrr is rewritten: there '--se' can only mean --seq, while in check it
+    abbreviates --seed.
     """
     out = list(argv)
+    if out[:1] != ["lrr"]:
+        return out
     for i in range(len(out) - 2, -1, -1):
-        if out[i] == "--seq" and re.match(r"-\d", out[i + 1]):
+        if out[i] in ("--se", "--seq") and re.match(r"-\d", out[i + 1]):
             out[i : i + 2] = [f"--seq={out[i + 1]}"]
     return out
 

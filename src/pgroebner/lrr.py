@@ -144,48 +144,47 @@ def shortest_lrr(S: SequenceInput, max_steps: int = DEFAULT_MAX_STEPS) -> LrrSol
     )
 
 
+def _add_params(stage: set, params: list, p: int, m: int, width: int) -> set:
+    """Sum onto stage the digit span {sum_s theta_s x^s d} of each (d, budget)."""
+    for d, budget in params:
+        span = {(0,) * width}
+        for s in range(budget + 1):
+            copy = (0,) * s + d.coeffs + (0,) * (width - d.degree - 1 - s)
+            span = {tuple([(a + t * c) % m for a, c in zip(f, copy)])
+                    for f in span for t in range(p)}
+        # tuple([...]) builds faster than tuple(generator) on this hot path
+        stage = {tuple([(a + b) % m for a, b in zip(f, g)]) for f in stage for g in span}
+    return stage
+
+
 def enumerate_shortest(
     sol: LrrSolution, monic_only: bool = True, cap: int = DEFAULT_ENUM_CAP
 ) -> list[Poly]:
     """Materialize the parametrized shortest recurrences, deduplicated.
 
     With monic_only, keeps exactly the digit choices whose combination has
-    leading coefficient 1.  Distinct digit tuples can collide after
-    reduction mod p^r, so results are deduplicated; the list is sorted by
-    ascending coefficient tuples.
+    leading coefficient 1.  Only parameters with deg d_i + budget_i == L
+    reach x^L, so every leading coefficient is final once they are added,
+    and the monic filter runs before the other parameters multiply the set.
+    Distinct digit tuples can collide after reduction mod p^r, so results
+    are deduplicated and sorted by ascending coefficient tuples.
     """
-    ring = sol.ring
-    p, m = ring.p, ring.modulus
-    width = sol.length + 1
+    p, m, L = sol.ring.p, sol.ring.modulus, sol.length
     active = [(d, budget) for d, budget in sol.param_basis if not d.is_zero()]
     slots = sum(budget + 1 for _, budget in active)
     total = (p - 1) * p**slots
     if total > cap:
         raise EnumerationTooLarge(f"{total} parameter tuples exceed cap {cap}")
-    # work on padded coefficient tuples, collapsing duplicates per parameter
-    stage = {
-        tuple(q0 * c % m for c in sol.shortest.coeffs)
-        for q0 in sol.pivot_digit_range
-    }
-    for d, budget in active:
-        contribs = set()
-        for digits in itertools.product(range(p), repeat=budget + 1):
-            prod = [0] * width
-            for shift, theta in enumerate(digits):
-                if theta:
-                    for k, c in enumerate(d.coeffs):
-                        prod[shift + k] += theta * c
-            contribs.add(tuple(c % m for c in prod))
-        stage = {
-            tuple((a + b) % m for a, b in zip(f, g)) for f in stage for g in contribs
-        }
-    out = []
-    for coeffs in stage:
-        assert coeffs[-1] % p != 0
-        if monic_only and coeffs[-1] != 1:
-            continue
-        out.append(Poly(ring, coeffs))
-    return sorted(out, key=lambda f: f.coeffs)
+    assert all(d.degree + budget <= L for d, budget in active)
+    top = [(d, budget) for d, budget in active if d.degree + budget == L]
+    rest = [(d, budget) for d, budget in active if d.degree + budget < L]
+    stage = {tuple(q * c % m for c in sol.shortest.coeffs) for q in sol.pivot_digit_range}
+    stage = _add_params(stage, top, p, m, L + 1)
+    assert all(f[L] % p for f in stage)
+    if monic_only:
+        stage = {f for f in stage if f[L] == 1}
+    stage = _add_params(stage, rest, p, m, L + 1)
+    return [Poly(sol.ring, f) for f in sorted(stage)]
 
 
 def brute_force_shortest(

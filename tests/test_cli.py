@@ -3,9 +3,11 @@
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import pgroebner
 from pgroebner.cli import main
 from pgroebner.reports import (
     parse_gb_doc,
@@ -94,6 +96,30 @@ class TestGb:
         monkeypatch.setenv("PGROEBNER_MAX_STEPS", "1")
         code, _, _ = run(capsys, ["gb", "--ring", "9", gen_file])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["check", "GB", "--trials", "0"], {}),
+            (["check", "GB", "--trials", "-3"], {}),
+            (["gb", "GEN", "--max-steps", "-5"], {}),
+            (["lrr", "--seq", "1,4,4,7,7", "--max-enum", "-1"], {}),
+            (["gb", "GEN"], {"PGROEBNER_MAX_STEPS": "-1"}),
+            (["lrr", "--seq", "1,4,4,7,7"], {"PGROEBNER_MAX_ENUM": "-1"}),
+        ],
+        ids=["trials-0", "trials-3", "max-steps", "max-enum", "env-steps", "env-enum"],
+    )
+    def test_meaningless_counts_are_parse_errors(
+        self, capsys, gen_file, gb_file, monkeypatch, argv, env
+    ):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        files = {"GB": gb_file, "GEN": gen_file}
+        argv = [argv[0], "--ring", "9"] + [files.get(a, a) for a in argv[1:]]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "must be at least" in err
 
 
 class TestRingFlag:
@@ -203,11 +229,12 @@ class TestLrrCommand:
         assert "exceeds" in out or "exceed" in err
 
     def test_negative_values_with_separate_argument(self, capsys):
-        code, out, _ = run(capsys, ["lrr", "--ring", "9", "--seq", "-1,3"])
         code_eq, out_eq, _ = run(capsys, ["lrr", "--ring", "9", "--seq=-1,3"])
-        assert code == code_eq == 0
-        assert out == out_eq
-        assert "sequence 8,3 over Z_9" in out
+        for flag in ("--seq", "--se"):
+            code, out, _ = run(capsys, ["lrr", "--ring", "9", flag, "-1,3"])
+            assert code == code_eq == 0
+            assert out == out_eq
+            assert "sequence 8,3 over Z_9" in out
 
     def test_bad_sequence_is_parse_error(self, capsys):
         code, _, _ = run(capsys, ["lrr", "--ring", "9", "--seq", "1,4,x"])
@@ -253,6 +280,11 @@ class TestCheckCommand:
         assert code == 5
         assert "reducible" in out
 
+    def test_se_abbreviates_seed(self, capsys, gb_file):
+        code, out, _ = run(capsys, ["check", "--ring", "9", gb_file, "--se", "2"])
+        assert code == 0
+        assert "seed 2)" in out
+
     def test_seeded_runs_are_reproducible(self, capsys, gb_file):
         _, out1, _ = run(capsys, ["check", "--ring", "9", gb_file, "--seed", "7"])
         _, out2, _ = run(capsys, ["check", "--ring", "9", gb_file, "--seed", "7"])
@@ -270,8 +302,11 @@ class TestDeterminism:
     def test_console_entry_point(self):
         cmd = [sys.executable, "-m", "pgroebner.cli", "lrr", "--ring", "9",
                "--seq", "1,4,4,7,7", "--structured"]
-        first = subprocess.run(cmd, capture_output=True, text=True)
-        second = subprocess.run(cmd, capture_output=True, text=True)
+        # run from the directory holding the imported package, so the child
+        # finds it without PYTHONPATH or an install
+        where = Path(pgroebner.__file__).parents[1]
+        first = subprocess.run(cmd, capture_output=True, text=True, cwd=where)
+        second = subprocess.run(cmd, capture_output=True, text=True, cwd=where)
         assert first.returncode == 0
         assert first.stdout == second.stdout
         assert "shortest: x^2+3x+2" in first.stdout

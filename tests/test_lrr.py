@@ -10,6 +10,7 @@ from pgroebner import (
     Poly,
     SequenceInput,
     ZeroVector,
+    Zpr,
     brute_force_shortest,
     build_module,
     enumerate_shortest,
@@ -142,6 +143,36 @@ class TestEnumerateShortest:
         sol = shortest_lrr(S9A())
         with pytest.raises(EnumerationTooLarge):
             enumerate_shortest(sol, cap=1)
+        # the cap counts parameter tuples, (p-1)*p^slots = 2*3^2 here, not the
+        # smaller set left after the monic filter
+        assert sol.param_basis == ((parse_poly(Z9, "3x+6"), 1),)
+        assert len(enumerate_shortest(sol, cap=2 * 3**2)) == 3
+        with pytest.raises(EnumerationTooLarge):
+            enumerate_shortest(sol, cap=2 * 3**2 - 1)
+
+    def test_all_mode_is_unit_multiples_of_oracle(self):
+        rng = random.Random(2009)
+        Z27 = Zpr(3, 3)
+        cases = [S9A()] + [
+            SequenceInput(ring, tuple(rng.randrange(ring.modulus) for _ in range(n)))
+            for ring, top_n in ((Z4, 4), (Z8, 4), (Z9, 4), (Z27, 3))
+            for n in [rng.randrange(1, top_n + 1) for _ in range(12)]
+        ]
+        reaches_top = False
+        for S in cases:
+            sol = shortest_lrr(S)
+            L, oracle = brute_force_shortest(S)
+            units = [u for u in range(1, S.ring.modulus) if u % S.ring.p]
+            expected = {f.scale(u) for f in oracle for u in units}
+            got = enumerate_shortest(sol, monic_only=False)
+            assert L == sol.length, S.values
+            assert got == sorted(expected, key=lambda f: f.coeffs), S.values
+            reaches_top |= any(
+                not d.is_zero() and d.degree + budget == L for d, budget in sol.param_basis
+            )
+        # a parameter whose top copy x^budget*d has a nonzero x^L coefficient
+        # (3x+6 with budget 1 on 1,4,4,7,7) must be added before the monic filter
+        assert reaches_top
 
     def test_soundness_on_random_sequences(self):
         rng = random.Random(77)
