@@ -157,8 +157,6 @@ def _add_common(sub: argparse.ArgumentParser, with_order: bool = True) -> None:
         action="store_true",
         help="emit the machine-readable document instead of the human report",
     )
-    sub.add_argument("--max-steps", type=int, help="completion pair-reduction cap")
-    sub.add_argument("--max-enum", type=int, help="enumeration cap")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -190,6 +188,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ck.add_argument("matrix", help="file of bracketed vectors, one per line ('-' for stdin)")
     ck.add_argument("--trials", type=int, default=500, help="random tuples to sample")
     ck.add_argument("--seed", type=int, default=0, help="random seed")
+
+    # each cap only where it applies, so a cap given elsewhere is a usage error
+    for sub in (gb, pb, lr):
+        sub.add_argument("--max-steps", type=int, help="completion pair-reduction cap")
+    lr.add_argument("--max-enum", type=int, help="enumeration cap")
     return parser
 
 

@@ -59,8 +59,8 @@ class LeadData:
 
 
 def lead_data(f: PolyVec, order: MonomialOrder) -> LeadData:
-    c, m = f.lt(order)
-    return LeadData(lm=m, lc=c, lpos=m.pos, deg=m.alpha, ord=f.ring.ord(c))
+    c, m, o = f.lead(order)
+    return LeadData(lm=m, lc=c, lpos=m.pos, deg=m.alpha, ord=o)
 
 
 def normalize_lc(f: PolyVec, order: MonomialOrder) -> PolyVec:
@@ -83,16 +83,18 @@ def _quotient(ring: Zpr, target: int, by: int) -> int:
 def _pick_reducer(
     mono: Monomial, min_ord: int, reducers: list[PolyVec], order: MonomialOrder
 ) -> PolyVec | None:
-    """Largest-lm reducer whose lm divides mono and whose ord is >= min_ord; ties by index."""
-    best = best_key = None
+    """Largest-lm reducer whose lm divides mono and whose ord is >= min_ord; ties by index.
+
+    Every candidate lm shares mono's position, so under either order the
+    largest one is the one of highest degree.  A zero reducer raises ZeroVector.
+    """
+    best, best_alpha = None, -1
+    alpha, pos = mono
     for g in reducers:
-        if g.is_zero():
-            raise ZeroVector("reducers must be nonzero")
-        gm = g.lm(order)
-        if gm.divides(mono) and g.ring.ord(g.terms[gm]) >= min_ord:
-            key = order.key(gm)
-            if best_key is None or key > best_key:  # strict, so the first index wins ties
-                best, best_key = g, key
+        _, (g_alpha, g_pos), g_ord = g.lead(order)
+        # strict, so the first index wins ties
+        if g_pos == pos and best_alpha < g_alpha <= alpha and g_ord >= min_ord:
+            best, best_alpha = g, g_alpha
     return best
 
 
@@ -105,12 +107,12 @@ def reduce_step(f: PolyVec, F: list[PolyVec], order: MonomialOrder) -> PolyVec:
     """
     if f.is_zero():
         raise ZeroVector("cannot reduce the zero vector")
-    c, m = f.lt(order)
-    g = _pick_reducer(m, f.ring.ord(c), F, order)
+    c, m, o = f.lead(order)
+    g = _pick_reducer(m, o, F, order)
     if g is None:
         raise NotReducible("leading term not cancellable by the given reducers")
-    gc, gm = g.lt(order)
-    h = f - g.term_mul(_quotient(f.ring, c, gc), m.alpha - gm.alpha)
+    gc, gm, _ = g.lead(order)
+    h = f.sub_term_mul(g, _quotient(f.ring, c, gc), m.alpha - gm.alpha)
     assert h.is_zero() or order.compare(h.lm(order), m) < 0
     return h
 
@@ -128,14 +130,13 @@ def normal_form(f: PolyVec, F: list[PolyVec], order: MonomialOrder) -> PolyVec:
 def _s_vector(older: PolyVec, newer: PolyVec, order: MonomialOrder) -> PolyVec:
     """S-pair vector for two elements with equal leading position."""
     ring = older.ring
-    c1, m1 = older.lt(order)
-    c2, m2 = newer.lt(order)
+    c1, m1, _ = older.lead(order)
+    c2, m2, _ = newer.lead(order)
     assert m1.pos == m2.pos
     lcm_deg = max(m1.alpha, m2.alpha)
     target = ring.p ** max(ring.vp(c1), ring.vp(c2))
-    t1 = older.term_mul(_quotient(ring, target, c1), lcm_deg - m1.alpha)
     t2 = newer.term_mul(_quotient(ring, target, c2), lcm_deg - m2.alpha)
-    return t2 - t1
+    return t2.sub_term_mul(older, _quotient(ring, target, c1), lcm_deg - m1.alpha)
 
 
 def _annihilator_vector(g: PolyVec, order: MonomialOrder) -> PolyVec:
@@ -189,7 +190,7 @@ def _cancel_unit_tails(
                 h = None if mono == lead else _pick_reducer(mono, ring.r, others, order)
                 if h is not None:
                     # lc(h) == 1 after normalization, so the quotient is c itself
-                    g = g - h.term_mul(c, mono.alpha - h.lm(order).alpha)
+                    g = g.sub_term_mul(h, c, mono.alpha - h.lm(order).alpha)
                     break
             else:  # no tail term is covered any more
                 break
@@ -313,13 +314,13 @@ def buchberger(
         g = normalize_lc(g, order)
         k = len(basis)
         basis.append(g)
-        km = g.lm(order)
+        _, km, k_ord = g.lead(order)
         for i in range(k):
-            im = basis[i].lm(order)
+            im = basis[i].lead(order)[1]
             if im.pos == km.pos:
                 lcm = Monomial(max(im.alpha, km.alpha), km.pos)
                 heapq.heappush(heap, (order.key(lcm), next(seq), i, k))
-        if g.ord(order) < ring.r:
+        if k_ord < ring.r:
             # annihilator pair, encoded with j == -1
             heapq.heappush(heap, (order.key(km), next(seq), k, -1))
 

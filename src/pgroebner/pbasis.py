@@ -178,7 +178,7 @@ def _represent(
         for i, theta, shift in used:
             assert shift not in digits[i]
             digits[i][shift] = theta
-            work = work - vectors[i].term_mul(theta, shift)
+            work = work.sub_term_mul(vectors[i], theta, shift)
         assert work.is_zero() or order.compare(work.lm(order), X) < 0
     out = []
     for d in digits:

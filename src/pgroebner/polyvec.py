@@ -181,9 +181,15 @@ class Poly:
 
 
 class PolyVec:
-    """An element of Z_{p^r}[x]^q, stored sparsely as monomial -> residue."""
+    """An element of Z_{p^r}[x]^q, stored sparsely as monomial -> residue.
 
-    __slots__ = ("ring", "q", "terms")
+    Immutability is load-bearing here: the leading data (lc, lm, ord(lc)) is
+    computed on first request and cached once per order, so `terms` must
+    never be mutated after construction.  The cache is not part of the value
+    (`__eq__` and `__hash__` ignore it).
+    """
+
+    __slots__ = ("ring", "q", "terms", "_top", "_pot")
 
     def __init__(self, ring: Zpr, q: int, terms: dict[Monomial, int] | None = None):
         if q < 1:
@@ -198,6 +204,8 @@ class PolyVec:
         self.ring = ring
         self.q = q
         self.terms = clean
+        self._top: tuple[int, Monomial, int] | None = None
+        self._pot: tuple[int, Monomial, int] | None = None
 
     # -- constructors ----------------------------------------------------------
 
@@ -277,34 +285,59 @@ class PolyVec:
             self.ring, self.q, {m.shifted(gamma): c * v for m, v in self.terms.items()}
         )
 
+    def sub_term_mul(self, other: "PolyVec", c: int, gamma: int) -> "PolyVec":
+        """self - c * x^gamma * other, built in one pass."""
+        self._check(other)
+        terms = dict(self.terms)
+        for mono, v in other.terms.items():
+            if gamma:
+                mono = Monomial(mono.alpha + gamma, mono.pos)
+            terms[mono] = terms.get(mono, 0) - c * v
+        return PolyVec(self.ring, self.q, terms)
+
     def poly_mul(self, a: Poly) -> "PolyVec":
         """Multiply by the scalar polynomial a."""
         return combine([a], [self])
 
     # -- leading data under an order ---------------------------------------------
 
-    def lm(self, order: MonomialOrder) -> Monomial:
-        """Leading monomial; raises ZeroVector on the zero vector."""
+    def lead(self, order: MonomialOrder) -> tuple[int, Monomial, int]:
+        """(lc, lm, ord(lc)), computed once per order; raises ZeroVector on zero."""
+        if order is TOP:
+            if self._top is None:
+                self._top = self._scan(order)
+            return self._top
+        if self._pot is None:
+            self._pot = self._scan(order)
+        return self._pot
+
+    def _scan(self, order: MonomialOrder) -> tuple[int, Monomial, int]:
         if not self.terms:
             raise ZeroVector("zero vector has no leading monomial")
-        return max(self.terms, key=order.key)
+        m = max(self.terms, key=order.key)
+        c = self.terms[m]
+        return c, m, self.ring.ord(c)
+
+    def lm(self, order: MonomialOrder) -> Monomial:
+        """Leading monomial; raises ZeroVector on the zero vector."""
+        return self.lead(order)[1]
 
     def lt(self, order: MonomialOrder) -> tuple[int, Monomial]:
-        m = self.lm(order)
-        return self.terms[m], m
+        c, m, _ = self.lead(order)
+        return c, m
 
     def lc(self, order: MonomialOrder) -> int:
-        return self.terms[self.lm(order)]
+        return self.lead(order)[0]
 
     def lpos(self, order: MonomialOrder) -> int:
-        return self.lm(order).pos
+        return self.lead(order)[1].pos
 
     def deg(self, order: MonomialOrder) -> int:
-        return self.lm(order).alpha
+        return self.lead(order)[1].alpha
 
     def ord(self, order: MonomialOrder) -> int:
         """Order of the leading coefficient."""
-        return self.ring.ord(self.lc(order))
+        return self.lead(order)[2]
 
     # -- value semantics -----------------------------------------------------------
 

@@ -35,7 +35,10 @@ def gb_file(tmp_path):
 
 
 def run(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors exit from parse_args
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -98,19 +101,27 @@ class TestGb:
         assert code == 3
 
     @pytest.mark.parametrize(
-        "argv, env",
+        "argv, env, message",
         [
-            (["check", "GB", "--trials", "0"], {}),
-            (["check", "GB", "--trials", "-3"], {}),
-            (["gb", "GEN", "--max-steps", "-5"], {}),
-            (["lrr", "--seq", "1,4,4,7,7", "--max-enum", "-1"], {}),
-            (["gb", "GEN"], {"PGROEBNER_MAX_STEPS": "-1"}),
-            (["lrr", "--seq", "1,4,4,7,7"], {"PGROEBNER_MAX_ENUM": "-1"}),
+            (["check", "GB", "--trials", "0"], {}, "must be at least"),
+            (["check", "GB", "--trials", "-3"], {}, "must be at least"),
+            (["gb", "GEN", "--max-steps", "-5"], {}, "must be at least"),
+            (["lrr", "--seq", "1,4,4,7,7", "--max-enum", "-1"], {}, "must be at least"),
+            (["gb", "GEN"], {"PGROEBNER_MAX_STEPS": "-1"}, "must be at least"),
+            (["lrr", "--seq", "1,4,4,7,7"], {"PGROEBNER_MAX_ENUM": "-1"}, "must be at least"),
+            # a cap given to a command that does not apply it is a usage error
+            (["check", "GB", "--max-steps", "-5", "--max-enum", "-1"], {}, "unrecognized"),
+            (["check", "GB", "--max-steps", "5"], {}, "unrecognized"),
+            (["gb", "GEN", "--max-enum", "-1"], {}, "unrecognized"),
+            (["pbasis", "GEN", "--max-enum", "7"], {}, "unrecognized"),
         ],
-        ids=["trials-0", "trials-3", "max-steps", "max-enum", "env-steps", "env-enum"],
+        ids=[
+            "trials-0", "trials-3", "max-steps", "max-enum", "env-steps", "env-enum",
+            "check-caps", "check-max-steps", "gb-max-enum", "pbasis-max-enum",
+        ],
     )
     def test_meaningless_counts_are_parse_errors(
-        self, capsys, gen_file, gb_file, monkeypatch, argv, env
+        self, capsys, gen_file, gb_file, monkeypatch, argv, env, message
     ):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -119,7 +130,7 @@ class TestGb:
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
-        assert "must be at least" in err
+        assert message in err
 
 
 class TestRingFlag:

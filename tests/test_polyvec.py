@@ -1,5 +1,7 @@
 """Tests for monomial orders, polynomial vectors, and the text grammar."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,7 @@ from pgroebner import (
     Poly,
     PolyVec,
     ZeroVector,
+    Zpr,
     compare,
     format_poly,
     format_vector,
@@ -92,8 +95,9 @@ class TestLeadingData:
     def test_zero_vector_has_no_leading_data(self):
         z = PolyVec.zero(Z9, 2)
         for attr in ("lm", "lt", "lc", "lpos", "deg", "ord"):
-            with pytest.raises(ZeroVector):
-                getattr(z, attr)(TOP)
+            for order in (TOP, POT, TOP):  # the zero vector caches nothing
+                with pytest.raises(ZeroVector):
+                    getattr(z, attr)(order)
 
     def test_lt_lc_lpos_deg_mutually_consistent(self):
         f = vec(Z9, "[3x+6, 3x^4+x^2]")
@@ -103,6 +107,51 @@ class TestLeadingData:
             assert m == f.lm(order)
             assert m.pos == f.lpos(order)
             assert m.alpha == f.deg(order)
+
+
+class TestLeadCache:
+    """Leading data is cached per order; each answer must equal a fresh scan."""
+
+    RINGS = (Zpr(2, 1), Z9, Zpr(2, 8), Zpr(65521, 1))
+    ACCESSORS = ("lm", "lt", "lc", "ord", "lpos", "deg")
+
+    @staticmethod
+    def _fresh(v, order, attr):
+        m = max(v.terms, key=order.key)
+        c = v.terms[m]
+        return {
+            "lm": m, "lt": (c, m), "lc": c, "ord": v.ring.ord(c), "lpos": m.pos, "deg": m.alpha
+        }[attr]
+
+    def test_cached_answers_equal_a_fresh_scan(self):
+        rng = random.Random(41)
+        orders_differ = 0
+        for ring in self.RINGS:
+            for q in range(1, 5):
+                for _ in range(30):
+                    v = _random_vec(rng, ring, q)
+                    if v.is_zero():
+                        continue
+                    orders_differ += v.lm(TOP) != v.lm(POT)
+                    accessors = list(self.ACCESSORS)
+                    rng.shuffle(accessors)
+                    for attr in accessors:
+                        for order in (TOP, POT, TOP):
+                            assert getattr(v, attr)(order) == self._fresh(v, order, attr)
+        assert orders_differ > 50  # the two caches are really exercised apart
+
+    def test_cache_is_not_part_of_the_value(self):
+        rng = random.Random(42)
+        for ring in self.RINGS:
+            for q in range(1, 5):
+                v = _random_vec(rng, ring, q)
+                if v.is_zero():
+                    continue
+                v.lm(TOP), v.lm(POT)
+                fresh = PolyVec(ring, q, dict(v.terms))
+                assert v == fresh and fresh == v
+                assert hash(v) == hash(fresh)
+                assert len({v, fresh}) == 1
 
 
 class TestArithmetic:
@@ -127,6 +176,31 @@ class TestArithmetic:
             combine([one, one], [f, vec(Z9, "[1, x, 0]")])
         with pytest.raises(DimensionMismatch):
             combine([one], [f, f])
+        g = vec(Z9, "[3x, 2]")
+        assert f.sub_term_mul(g, 2, 1) == f - g.term_mul(2, 1) == vec(Z9, "[3x^2+1, 6x]")
+        assert f.sub_term_mul(f, 1, 0).is_zero()
+        with pytest.raises(MixedRings):
+            f.sub_term_mul(vec(Z5, "[1, x]"), 1, 0)
+        with pytest.raises(DimensionMismatch):
+            f.sub_term_mul(vec(Z9, "[1, x, 0]"), 1, 0)
+
+    def test_sub_term_mul_equals_two_step_form(self):
+        rng = random.Random(43)
+        cancelled = zero = 0
+        for ring in TestLeadCache.RINGS:
+            for q in range(1, 5):
+                for _ in range(30):
+                    f, g = _random_vec(rng, ring, q), _random_vec(rng, ring, q)
+                    c = rng.choice([0, 1, ring.p, rng.randrange(ring.modulus)])
+                    gamma = rng.randrange(4)
+                    if rng.randrange(4) == 0:  # full cancellation
+                        f = g.term_mul(c, gamma)
+                    h = f.sub_term_mul(g, c, gamma)
+                    assert h == f - g.term_mul(c, gamma)
+                    assert all(h.terms.values())
+                    cancelled += h.is_zero() and not f.is_zero()
+                    zero += h.is_zero()
+        assert cancelled > 10 and zero > cancelled
 
     def test_no_zero_coefficients_stored(self):
         f = vec(Z9, "[3x+6, 3x]").scale(3)
@@ -143,8 +217,6 @@ class TestArithmetic:
             vec(Z9, "[1, x]") + vec(Z5, "[1, x]")
 
     def test_lm_of_sum_bounded_by_max(self):
-        import random
-
         rng = random.Random(5)
         for _ in range(200):
             f = _random_vec(rng)
@@ -160,12 +232,12 @@ class TestArithmetic:
                     assert h.lm(order) == top
 
 
-def _random_vec(rng):
+def _random_vec(rng, ring=Z9, q=2):
     terms = {
-        Monomial(rng.randrange(5), rng.randrange(1, 3)): rng.randrange(9)
+        Monomial(rng.randrange(5), rng.randrange(1, q + 1)): rng.randrange(ring.modulus)
         for _ in range(rng.randrange(5))
     }
-    return PolyVec(Z9, 2, terms)
+    return PolyVec(ring, q, terms)
 
 
 class TestTextGrammar:
