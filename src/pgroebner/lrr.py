@@ -166,8 +166,13 @@ def enumerate_shortest(
     leading coefficient 1.  Only parameters with deg d_i + budget_i == L
     reach x^L, so every leading coefficient is final once they are added,
     and the monic filter runs before the other parameters multiply the set.
-    Distinct digit tuples can collide after reduction mod p^r, so results
-    are deduplicated and sorted by ascending coefficient tuples.
+    Those parameters have non-unit leading coefficients, so they add a
+    multiple of p at x^L, and q * d + ... has f_L = q (mod p): a monic
+    result needs the pivot digit q = 1, and monic mode visits only the
+    p^slots tuples with q = 1.  The cap still counts all (p-1) * p^slots parameter tuples, so
+    both modes accept and refuse the same solutions.  Distinct digit
+    tuples can collide after reduction mod p^r, so results are
+    deduplicated and sorted by ascending coefficient tuples.
     """
     p, m, L = sol.ring.p, sol.ring.modulus, sol.length
     active = [(d, budget) for d, budget in sol.param_basis if not d.is_zero()]
@@ -178,9 +183,10 @@ def enumerate_shortest(
     assert all(d.degree + budget <= L for d, budget in active)
     top = [(d, budget) for d, budget in active if d.degree + budget == L]
     rest = [(d, budget) for d, budget in active if d.degree + budget < L]
-    stage = {tuple(q * c % m for c in sol.shortest.coeffs) for q in sol.pivot_digit_range}
+    digits = (1,) if monic_only else sol.pivot_digit_range
+    stage = {tuple(q * c % m for c in sol.shortest.coeffs) for q in digits}
     stage = _add_params(stage, top, p, m, L + 1)
-    assert all(f[L] % p for f in stage)
+    assert all(f[L] % p == 1 if monic_only else f[L] % p for f in stage)
     if monic_only:
         stage = {f for f in stage if f[L] == 1}
     stage = _add_params(stage, rest, p, m, L + 1)

@@ -85,7 +85,8 @@ class Poly:
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: Zpr, coeffs: Iterable[int] = ()):
-        cs = [ring.reduce(c) for c in coeffs]
+        m = ring.modulus
+        cs = [c % m for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.ring = ring
@@ -436,8 +437,9 @@ def format_poly(poly: Poly) -> str:
     if poly.is_zero():
         return "0"
     pieces = []
+    coeffs = poly.coeffs
     for alpha in range(poly.degree, -1, -1):
-        c = poly.coeff(alpha)
+        c = coeffs[alpha]
         if not c:
             continue
         if alpha == 0:

@@ -224,6 +224,13 @@ class TestLrrCommand:
         assert "shortest recurrence: x^3+4x^2+7x+4" in out
         assert "x^3+4x^2+7x+1" in out
 
+    def test_large_prime_structured(self, capsys):
+        code, out, _ = run(
+            capsys, ["lrr", "--ring", "65521", "--seq", "1,2,3,5,8,13,21", "--structured"]
+        )
+        assert code == 0
+        assert "\nmonic-count: 1\nmonic: x^2+65520x+65520\n" in out
+
     def test_structured_round_trip(self, capsys):
         code, out, _ = run(
             capsys, ["lrr", "--ring", "9", "--seq", "1,4,4,7,7", "--structured"]

@@ -149,6 +149,13 @@ class TestEnumerateShortest:
         assert len(enumerate_shortest(sol, cap=2 * 3**2)) == 3
         with pytest.raises(EnumerationTooLarge):
             enumerate_shortest(sol, cap=2 * 3**2 - 1)
+        # at large p monic mode visits only the pivot digit 1, but the cap
+        # still counts all p-1 = 65520 pivot digits
+        big = shortest_lrr(SequenceInput(Zpr(65521, 1), (1, 2, 3, 5, 8, 13, 21)))
+        assert big.param_basis == ()
+        assert enumerate_shortest(big, cap=65520) == [big.shortest]
+        with pytest.raises(EnumerationTooLarge):
+            enumerate_shortest(big, cap=65519)
 
     def test_all_mode_is_unit_multiples_of_oracle(self):
         rng = random.Random(2009)
@@ -172,6 +179,46 @@ class TestEnumerateShortest:
             )
         # a parameter whose top copy x^budget*d has a nonzero x^L coefficient
         # (3x+6 with budget 1 on 1,4,4,7,7) must be added before the monic filter
+        assert reaches_top
+
+    def test_monic_mode_is_monic_part_of_all_mode_at_large_p(self):
+        # monic mode starts from the pivot digit 1 alone; the --all mode,
+        # which enumerates every pivot digit, is the slow reference
+        rng = random.Random(4602)
+        cap = 10**5
+        cases = [
+            SequenceInput(ring, tuple(rng.randrange(ring.modulus) for _ in range(n)))
+            for ring, top_n in (
+                (Zpr(5, 2), 6), (Zpr(3, 3), 6), (Zpr(7, 2), 6), (Zpr(5, 3), 6), (Zpr(65521, 1), 8)
+            )
+            for n in [rng.randrange(1, top_n + 1) for _ in range(8)]
+        ]
+        compared, oracle_checked, reaches_top = set(), 0, False
+        for S in cases:
+            sol = shortest_lrr(S)
+            try:
+                everything = enumerate_shortest(sol, monic_only=False, cap=cap)
+            except EnumerationTooLarge:
+                with pytest.raises(EnumerationTooLarge):
+                    enumerate_shortest(sol, cap=cap)
+                continue
+            got = enumerate_shortest(sol, cap=cap)
+            assert got == [f for f in everything if f.is_monic()], S.values
+            assert all(is_lrr(f, S) for f in got), S.values
+            compared.add(S.ring)
+            if S.ring.modulus == 25 and S.n <= 3:
+                L, oracle = brute_force_shortest(S)
+                assert L == sol.length, S.values
+                assert got == sorted(oracle, key=lambda f: f.coeffs), S.values
+                oracle_checked += 1
+            reaches_top |= S.ring.p > 2 and any(
+                not d.is_zero() and d.degree + budget == sol.length
+                for d, budget in sol.param_basis
+            )
+        assert compared == {S.ring for S in cases}
+        assert oracle_checked >= 2
+        # a top parameter makes f_L = 1 + (multiple of p) on the pivot-1 stage,
+        # so the monic filter must run after it is added
         assert reaches_top
 
     def test_soundness_on_random_sequences(self):
