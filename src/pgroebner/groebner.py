@@ -22,10 +22,22 @@ bases are normalized so each leading coefficient is exactly p^(r-ord), and
 tail terms covered by a unit-leading-coefficient element are cancelled
 (those cancellations have unique quotients, so this is a canonical step;
 full tail reduction is deliberately not performed).
+
+During completion the reducer is read from an index rather than found by
+scanning the basis.  The live basis files each element, as it is
+appended, in a bucket for its leading position, sorted by descending
+degree and then by ascending index.  A reducer of x^alpha*e_pos must share
+its position and have degree <= alpha, and the scan keeps the first one of
+highest degree whose ord is high enough.  Walking the bucket from the first
+degree <= alpha and taking the first element with a high enough ord finds
+that same element, ties included.  Plain lists passed to `reduce_step`,
+`normal_form`, `is_groebner` or `module_equal` are still scanned, and the
+scan stays the reference the tests compare the index against.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import random
@@ -73,11 +85,46 @@ def normalize_lc(f: PolyVec, order: MonomialOrder) -> PolyVec:
 
 
 def _quotient(ring: Zpr, target: int, by: int) -> int:
-    """Canonical c with c * by == target; requires vp(by) <= vp(target), target != 0."""
-    vt, vb = ring.vp(target), ring.vp(by)
-    assert vb <= vt < ring.r
-    c = ring.mul(ring.unit_part(target), ring.inv(ring.unit_part(by))) * ring.p ** (vt - vb)
-    return c % ring.p ** (ring.r - vb)
+    """Canonical c with c * by == target; requires vp(by) <= vp(target), target != 0.
+
+    With by = u * p^vb, the solutions c form one residue class mod
+    p^(r - vb): (target / p^vb) * u^-1.  Its least member is the answer.
+    """
+    pv = ring.p ** ring.vp(by)
+    m = ring.modulus // pv
+    assert target % ring.modulus and not target % pv
+    return target // pv * pow(by // pv, -1, m) % m
+
+
+class _ReducerIndex(list):
+    """The live basis of one completion, indexed by leading position.
+
+    A plain list to every reader; `append` also files the element in its
+    position's bucket, kept sorted by (-deg, index) under the one order
+    the index was made for.  Elements must only ever be appended.
+    """
+
+    def __init__(self, order: MonomialOrder) -> None:
+        super().__init__()
+        self.order = order
+        self._buckets: dict[int, list[tuple[int, int, int, PolyVec]]] = {}
+
+    def append(self, g: PolyVec) -> None:
+        _, (alpha, pos), o = g.lead(self.order)
+        bisect.insort(self._buckets.setdefault(pos, []), (-alpha, len(self), o, g))
+        super().append(g)
+
+    def pick(self, mono: Monomial, min_ord: int) -> PolyVec | None:
+        """The element `_pick_reducer`'s scan would return, read from the buckets."""
+        alpha, pos = mono
+        bucket = self._buckets.get(pos)
+        if bucket:
+            # (-alpha,) sorts before every entry of degree alpha: start there
+            for k in range(bisect.bisect_left(bucket, (-alpha,)), len(bucket)):
+                entry = bucket[k]
+                if entry[2] >= min_ord:
+                    return entry[3]
+        return None
 
 
 def _pick_reducer(
@@ -87,7 +134,11 @@ def _pick_reducer(
 
     Every candidate lm shares mono's position, so under either order the
     largest one is the one of highest degree.  A zero reducer raises ZeroVector.
+    A `_ReducerIndex` made for this order answers from its buckets; any
+    other list is scanned, which is the reference the index must match.
     """
+    if type(reducers) is _ReducerIndex and reducers.order is order:
+        return reducers.pick(mono, min_ord)
     best, best_alpha = None, -1
     alpha, pos = mono
     for g in reducers:
@@ -302,13 +353,22 @@ def buchberger(
     annihilator pairs for zero-divisor leading coefficients until every
     pair reduces to zero, then minimalizes.  Deterministic: identical
     inputs yield identical bases.  max_steps caps the number of pair
-    reductions; exceeding it raises IterationLimitExceeded and indicates
-    a bug rather than expected behavior.
+    reductions.  Every queued pair is reduced in the end, so the cap
+    raises IterationLimitExceeded as soon as more pairs are queued than
+    it allows, without reducing the queued ones first.  Reaching it
+    indicates an input too large for the cap rather than expected
+    behavior.
     """
     ring, _ = _check_inputs(generators)
-    basis: list[PolyVec] = []
+    basis = _ReducerIndex(order)
     heap: list[tuple[tuple[int, int], int, int, int]] = []
     seq = itertools.count()
+
+    def push(mono: Monomial, i: int, j: int) -> None:
+        s = next(seq)
+        if s >= max_steps:  # this is pair s + 1, and it will be reduced
+            raise IterationLimitExceeded(f"exceeded {max_steps} pair reductions")
+        heapq.heappush(heap, (order.key(mono), s, i, j))
 
     def add_element(g: PolyVec) -> None:
         g = normalize_lc(g, order)
@@ -318,20 +378,15 @@ def buchberger(
         for i in range(k):
             im = basis[i].lead(order)[1]
             if im.pos == km.pos:
-                lcm = Monomial(max(im.alpha, km.alpha), km.pos)
-                heapq.heappush(heap, (order.key(lcm), next(seq), i, k))
+                push(Monomial(max(im.alpha, km.alpha), km.pos), i, k)
         if k_ord < ring.r:
             # annihilator pair, encoded with j == -1
-            heapq.heappush(heap, (order.key(km), next(seq), k, -1))
+            push(km, k, -1)
 
     for g in generators:
         add_element(g)
 
-    steps = 0
     while heap:
-        steps += 1
-        if steps > max_steps:
-            raise IterationLimitExceeded(f"exceeded {max_steps} pair reductions")
         _, _, i, j = heapq.heappop(heap)
         if j == -1:
             vec = _annihilator_vector(basis[i], order)

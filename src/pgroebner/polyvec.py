@@ -36,6 +36,12 @@ from .errors import DimensionMismatch, MixedRings, ParseError, ZeroVector
 from .ring import Zpr
 
 
+# Shifted monomials and trusted vectors are built on hot paths; these skip
+# the Python-level NamedTuple and PolyVec constructors.
+_new_tuple = tuple.__new__
+_new_object = object.__new__
+
+
 class Monomial(NamedTuple):
     """x^alpha * e_pos with alpha >= 0 and 1-based position pos."""
 
@@ -208,6 +214,22 @@ class PolyVec:
         self._top: tuple[int, Monomial, int] | None = None
         self._pot: tuple[int, Monomial, int] | None = None
 
+    @classmethod
+    def _trusted(cls, ring: Zpr, q: int, terms: dict[Monomial, int]) -> "PolyVec":
+        """A vector over terms that are already canonical, without re-checking them.
+
+        For the arithmetic below only: every key must be a Monomial with
+        alpha >= 0 and 1 <= pos <= q, and every value a residue in
+        1..p^r-1.  The public constructor checks and reduces all of that.
+        """
+        v = _new_object(cls)
+        v.ring = ring
+        v.q = q
+        v.terms = terms
+        v._top = None
+        v._pot = None
+        return v
+
     # -- constructors ----------------------------------------------------------
 
     @classmethod
@@ -275,26 +297,48 @@ class PolyVec:
         return PolyVec(self.ring, self.q, terms)
 
     def __neg__(self) -> "PolyVec":
-        return PolyVec(self.ring, self.q, {m: -c for m, c in self.terms.items()})
+        m = self.ring.modulus
+        # every stored residue is nonzero, so its negative is m - v, never 0
+        return PolyVec._trusted(
+            self.ring, self.q, {mono: m - v for mono, v in self.terms.items()}
+        )
 
     def scale(self, c: int) -> "PolyVec":
-        return PolyVec(self.ring, self.q, {m: c * v for m, v in self.terms.items()})
+        m = self.ring.modulus
+        terms = {mono: x for mono, v in self.terms.items() if (x := c * v % m)}
+        return PolyVec._trusted(self.ring, self.q, terms)
 
     def term_mul(self, c: int, gamma: int) -> "PolyVec":
         """Multiply by the scalar term c * x^gamma."""
-        return PolyVec(
-            self.ring, self.q, {m.shifted(gamma): c * v for m, v in self.terms.items()}
-        )
+        if gamma < 0:  # left to the public checks: a term may fall below x^0
+            return PolyVec(
+                self.ring, self.q, {m.shifted(gamma): c * v for m, v in self.terms.items()}
+            )
+        m = self.ring.modulus
+        terms = {
+            _new_tuple(Monomial, (mono[0] + gamma, mono[1])): x
+            for mono, v in self.terms.items()
+            if (x := c * v % m)
+        }
+        return PolyVec._trusted(self.ring, self.q, terms)
 
     def sub_term_mul(self, other: "PolyVec", c: int, gamma: int) -> "PolyVec":
         """self - c * x^gamma * other, built in one pass."""
         self._check(other)
+        if gamma < 0:
+            return self - other.term_mul(c, gamma)
+        m = self.ring.modulus
         terms = dict(self.terms)
+        get, pop = terms.get, terms.pop
         for mono, v in other.terms.items():
             if gamma:
-                mono = Monomial(mono.alpha + gamma, mono.pos)
-            terms[mono] = terms.get(mono, 0) - c * v
-        return PolyVec(self.ring, self.q, terms)
+                mono = _new_tuple(Monomial, (mono[0] + gamma, mono[1]))
+            x = (get(mono, 0) - c * v) % m
+            if x:
+                terms[mono] = x
+            else:
+                pop(mono, None)
+        return PolyVec._trusted(self.ring, self.q, terms)
 
     def poly_mul(self, a: Poly) -> "PolyVec":
         """Multiply by the scalar polynomial a."""
@@ -313,10 +357,21 @@ class PolyVec:
         return self._pot
 
     def _scan(self, order: MonomialOrder) -> tuple[int, Monomial, int]:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             raise ZeroVector("zero vector has no leading monomial")
-        m = max(self.terms, key=order.key)
-        c = self.terms[m]
+        if order is TOP:
+            # the plain tuple maximum has the top degree but the largest
+            # position there; TOP wants the smallest, so probe below it
+            m = max(terms)
+            alpha = m[0]
+            for pos in range(1, m[1]):
+                if (alpha, pos) in terms:
+                    m = Monomial(alpha, pos)
+                    break
+        else:
+            m = max(terms, key=order.key)
+        c = terms[m]
         return c, m, self.ring.ord(c)
 
     def lm(self, order: MonomialOrder) -> Monomial:

@@ -95,6 +95,15 @@ class TestGb:
         code, _, err = run(capsys, ["gb", "--ring", "9", "--max-steps", "1", gen_file])
         assert code == 3
 
+    def test_iteration_cap_fires_before_the_pairs_are_reduced(self, capsys, tmp_path):
+        path = tmp_path / "rows.txt"
+        path.write_text("".join(f"[x^{k % 97}+{k}]\n" for k in range(1, 4001)))
+        start = time.perf_counter()
+        code, _, err = run(capsys, ["gb", "--ring", "256", "--max-steps", "100", str(path)])
+        assert time.perf_counter() - start < 2.0
+        assert code == 3
+        assert "exceeded 100 pair reductions" in err
+
     def test_cap_env_override(self, capsys, gen_file, monkeypatch):
         monkeypatch.setenv("PGROEBNER_MAX_STEPS", "1")
         code, _, _ = run(capsys, ["gb", "--ring", "9", gen_file])

@@ -1,6 +1,7 @@
 """Tests for reduction, completion, minimalization, and the PLM check."""
 
 import random
+import time
 
 import pytest
 
@@ -23,6 +24,8 @@ from pgroebner import (
     normal_form,
     reduce_step,
 )
+from pgroebner import Monomial, PolyVec, Zpr, groebner
+from pgroebner.groebner import _pick_reducer, _quotient, _ReducerIndex
 from pgroebner.reports import render_gb_doc
 from conftest import (
     GB_Z5_TOP,
@@ -216,6 +219,161 @@ class TestBuchberger:
 
         with pytest.raises(IterationLimitExceeded):
             buchberger(z9a_generators(), TOP, max_steps=1)
+
+    def test_iteration_cap_fires_once_too_many_pairs_are_queued(self):
+        from pgroebner import IterationLimitExceeded, Zpr
+
+        # every two one-position rows make a pair, so 4000 rows queue
+        # about 8 million pairs; the cap must not wait for them
+        gens = [vec(Zpr(2, 8), f"[x^{k % 97}+{k}]") for k in range(1, 4001)]
+        start = time.perf_counter()
+        with pytest.raises(IterationLimitExceeded):
+            buchberger(gens, TOP, max_steps=100)
+        assert time.perf_counter() - start < 2.0
+
+    def test_cap_counts_every_queued_pair(self):
+        from pgroebner import IterationLimitExceeded
+
+        # the z9a completion queues and reduces a fixed number of pairs
+        gens = z9a_generators()
+        queued = next(
+            n for n in range(1, 1000) if _completes(gens, TOP, n)
+        )
+        assert not _completes(gens, TOP, queued - 1)
+        with pytest.raises(IterationLimitExceeded):
+            buchberger(gens, TOP, max_steps=queued - 1)
+
+
+def _completes(gens, order, max_steps):
+    from pgroebner import IterationLimitExceeded
+
+    try:
+        buchberger(gens, order, max_steps=max_steps)
+    except IterationLimitExceeded:
+        return False
+    return True
+
+
+def _seeded_basis(rng, ring, q, size):
+    """Vectors with shared positions, equal degrees of different ords, repeated lms."""
+    out = []
+    while len(out) < size:
+        if out and rng.randrange(4) == 0:
+            g = rng.choice(out)
+            # the same lm again: a copy, or a p-multiple with a lower ord
+            out.append(PolyVec(ring, q, dict(g.terms)) if rng.randrange(2) else g.scale(ring.p))
+        else:
+            terms = {
+                Monomial(rng.randrange(4), rng.randrange(1, q + 1)):
+                    rng.randrange(ring.modulus) * ring.p ** rng.randrange(ring.r)
+                for _ in range(rng.randrange(1, 4))
+            }
+            out.append(PolyVec(ring, q, terms))
+        if out[-1].is_zero():
+            out.pop()
+    return out
+
+
+class TestReducerIndex:
+    RINGS = (Zpr(2, 1), Z9, Zpr(2, 8), Zpr(65521, 1))
+
+    def test_index_picks_the_scanned_object(self):
+        rng = random.Random(61)
+        found = 0
+        for ring in self.RINGS:
+            for q in range(1, 5):
+                for order in (TOP, POT):
+                    for _ in range(8):
+                        basis = _seeded_basis(rng, ring, q, rng.randrange(1, 24))
+                        index = _ReducerIndex(order)
+                        for g in basis:
+                            index.append(g)
+                        assert list(index) == basis
+                        for alpha in range(6):
+                            for pos in range(1, q + 1):
+                                for min_ord in range(ring.r + 2):
+                                    mono = Monomial(alpha, pos)
+                                    want = _pick_reducer(mono, min_ord, basis, order)
+                                    got = _pick_reducer(mono, min_ord, index, order)
+                                    assert got is want, (ring, q, order, mono, min_ord)
+                                    found += want is not None
+        assert found > 5000
+
+    def test_index_for_another_order_is_scanned(self):
+        basis = [vec(Z9, "[x, x^3]"), vec(Z9, "[0, x^2]")]
+        index = _ReducerIndex(POT)
+        for g in basis:
+            index.append(g)
+        # POT files the first element under e1, but its TOP lm is x^3*e2
+        assert _pick_reducer(Monomial(3, 2), 0, index, TOP) is basis[0]
+        assert _pick_reducer(Monomial(3, 2), 0, index, POT) is basis[1]
+
+    def test_completion_equals_plain_list_completion(self, monkeypatch):
+        from pgroebner import build_p_basis
+        from pgroebner.reports import render_p_basis_doc
+
+        rng = random.Random(62)
+        cases = []
+        for k in range(60):
+            ring = self.RINGS[k % 3]
+            q = 1 + k % 4
+            gens = _seeded_basis(rng, ring, q, rng.randrange(1, 4))
+            cases += [(gens, order) for order in (TOP, POT)]
+        for k, ring in enumerate((Zpr(2, 1), Zpr(2, 8), Zpr(3, 4), Zpr(65521, 1))):
+            S = SequenceInput(ring, tuple(rng.randrange(ring.modulus) for _ in range(10 + k)))
+            cases.append((list(build_module(S)), TOP))
+
+        def docs():
+            out = []
+            for gens, order in cases:
+                G = buchberger(gens, order)
+                out.append(render_gb_doc(G) + render_p_basis_doc(build_p_basis(G)))
+            return out
+
+        indexed = docs()
+        monkeypatch.setattr(groebner, "_ReducerIndex", lambda order: [])
+        assert docs() == indexed
+
+
+def _reference_quotient(ring, target, by):
+    """The quotient as unit parts and an xgcd inverse give it."""
+    vt, vb = ring.vp(target), ring.vp(by)
+    c = ring.mul(ring.unit_part(target), ring.inv(ring.unit_part(by))) * ring.p ** (vt - vb)
+    return c % ring.p ** (ring.r - vb)
+
+
+def _unit(rng, ring):
+    while True:
+        u = rng.randrange(1, ring.modulus)
+        if u % ring.p:
+            return u
+
+
+class TestQuotient:
+    def test_exhaustive_small_rings(self):
+        for p, r in ((2, 3), (3, 2), (2, 4), (5, 2), (3, 3)):
+            ring = Zpr(p, r)
+            pairs = 0
+            for target in range(1, ring.modulus):
+                for by in range(1, ring.modulus):
+                    if ring.vp(by) <= ring.vp(target):
+                        c = _quotient(ring, target, by)
+                        assert c == _reference_quotient(ring, target, by), (ring, target, by)
+                        assert c * by % ring.modulus == target
+                        pairs += 1
+            assert pairs > ring.modulus
+
+    def test_seeded_large_rings(self):
+        rng = random.Random(63)
+        for ring in (Zpr(2, 8), Zpr(65521, 1)):
+            for _ in range(3000):
+                vb = rng.randrange(ring.r)
+                vt = rng.randrange(vb, ring.r)
+                by = _unit(rng, ring) * ring.p**vb % ring.modulus
+                target = _unit(rng, ring) * ring.p**vt % ring.modulus
+                c = _quotient(ring, target, by)
+                assert c == _reference_quotient(ring, target, by)
+                assert c * by % ring.modulus == target
 
 
 class TestIsGroebner:

@@ -240,6 +240,73 @@ def _random_vec(rng, ring=Z9, q=2):
     return PolyVec(ring, q, terms)
 
 
+class TestTrustedConstruction:
+    """Arithmetic builds vectors without the public checks; they must not be needed."""
+
+    @staticmethod
+    def _assert_canonical(v):
+        m = v.ring.modulus
+        for mono, c in v.terms.items():
+            assert isinstance(mono, Monomial)
+            assert mono.alpha >= 0 and 1 <= mono.pos <= v.q
+            assert 0 < c < m
+        assert v.terms == PolyVec(v.ring, v.q, dict(v.terms)).terms
+
+    @staticmethod
+    def _reference(f, g, c, gamma):
+        """f - c * x^gamma * g through the public constructor only."""
+        terms = dict(f.terms)
+        for mono, v in g.terms.items():
+            key = Monomial(mono.alpha + gamma, mono.pos)
+            terms[key] = terms.get(key, 0) - c * v
+        return PolyVec(f.ring, f.q, terms)
+
+    def test_results_equal_the_checked_constructor(self):
+        from pgroebner.groebner import _s_vector, normalize_lc
+
+        rng = random.Random(44)
+        zero_on_absent = 0
+        for ring in TestLeadCache.RINGS:
+            m, p = ring.modulus, ring.p
+            for q in range(1, 5):
+                for _ in range(40):
+                    f, g = _random_vec(rng, ring, q), _random_vec(rng, ring, q)
+                    # c * v == 0 (mod p^r) for every v divisible by p
+                    c = rng.choice([0, 1, p ** (ring.r - 1), m - 1, rng.randrange(m)])
+                    gamma = rng.randrange(4)
+                    zero = PolyVec(ring, q)
+                    cases = [
+                        (f.sub_term_mul(g, c, gamma), self._reference(f, g, c, gamma)),
+                        (g.term_mul(c, gamma), self._reference(zero, g, -c, gamma)),
+                        (g.scale(c), self._reference(zero, g, -c, 0)),
+                        (-g, self._reference(zero, g, 1, 0)),
+                    ]
+                    for order in (TOP, POT):
+                        if not g.is_zero():
+                            u = g.lc(order) // p ** ring.vp(g.lc(order))
+                            cases.append(
+                                (normalize_lc(g, order), self._reference(zero, g, -pow(u, -1, m), 0))
+                            )
+                        if not f.is_zero() and not g.is_zero() and f.lpos(order) == g.lpos(order):
+                            cases.append((_s_vector(f, g, order), None))
+                    for got, want in cases:
+                        self._assert_canonical(got)
+                        if want is not None:
+                            assert got == want
+                    zero_on_absent += any(
+                        c * v % m == 0 and Monomial(mono.alpha + gamma, mono.pos) not in f.terms
+                        for mono, v in g.terms.items()
+                    )
+        assert zero_on_absent > 20
+
+    def test_negative_shift_keeps_the_public_checks(self):
+        g = vec(Z9, "[x^2, 3x]")
+        assert g.term_mul(2, -1) == vec(Z9, "[2x, 6]")
+        assert vec(Z9, "[x, 1]").sub_term_mul(g, 1, -1) == vec(Z9, "[0, 7]")
+        with pytest.raises(DimensionMismatch):
+            g.term_mul(2, -2)
+
+
 class TestTextGrammar:
     def test_signed_input_reduces(self):
         assert parse_poly(Z5, "x^2-3x-1") == parse_poly(Z5, "x^2+2x+4")
