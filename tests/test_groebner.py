@@ -24,9 +24,16 @@ from pgroebner import (
     normal_form,
     reduce_step,
 )
-from pgroebner import Monomial, PolyVec, Zpr, groebner
+from pgroebner import (
+    IterationLimitExceeded,
+    Monomial,
+    PolyVec,
+    Zpr,
+    build_p_basis,
+    groebner,
+)
 from pgroebner.groebner import _pick_reducer, _quotient, _ReducerIndex
-from pgroebner.reports import render_gb_doc
+from pgroebner.reports import render_gb_doc, render_p_basis_doc
 from conftest import (
     GB_Z5_TOP,
     GB_Z9A_TOP,
@@ -221,8 +228,6 @@ class TestBuchberger:
             buchberger(z9a_generators(), TOP, max_steps=1)
 
     def test_iteration_cap_fires_once_too_many_pairs_are_queued(self):
-        from pgroebner import IterationLimitExceeded, Zpr
-
         # every two one-position rows make a pair, so 4000 rows queue
         # about 8 million pairs; the cap must not wait for them
         gens = [vec(Zpr(2, 8), f"[x^{k % 97}+{k}]") for k in range(1, 4001)]
@@ -232,21 +237,13 @@ class TestBuchberger:
         assert time.perf_counter() - start < 2.0
 
     def test_cap_counts_every_queued_pair(self):
-        from pgroebner import IterationLimitExceeded
-
         # the z9a completion queues and reduces a fixed number of pairs
         gens = z9a_generators()
-        queued = next(
-            n for n in range(1, 1000) if _completes(gens, TOP, n)
-        )
-        assert not _completes(gens, TOP, queued - 1)
-        with pytest.raises(IterationLimitExceeded):
-            buchberger(gens, TOP, max_steps=queued - 1)
+        queued = next(n for n in range(1, 1000) if _completes(gens, TOP, n))
+        assert queued > 1 and not _completes(gens, TOP, queued - 1)
 
 
 def _completes(gens, order, max_steps):
-    from pgroebner import IterationLimitExceeded
-
     try:
         buchberger(gens, order, max_steps=max_steps)
     except IterationLimitExceeded:
@@ -309,9 +306,6 @@ class TestReducerIndex:
         assert _pick_reducer(Monomial(3, 2), 0, index, POT) is basis[1]
 
     def test_completion_equals_plain_list_completion(self, monkeypatch):
-        from pgroebner import build_p_basis
-        from pgroebner.reports import render_p_basis_doc
-
         rng = random.Random(62)
         cases = []
         for k in range(60):
