@@ -25,7 +25,6 @@ oracle for both the minimal length and the full monic solution set.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -76,12 +75,6 @@ class LrrSolution:
     pivot_digit_range: tuple[int, ...]
     pivot_index: int
     pbasis: PBasis
-
-
-@functools.lru_cache(maxsize=16)
-def pivot_digits(p: int) -> tuple[int, ...]:
-    """The nonzero digits 1, ..., p-1: one shared tuple per p."""
-    return tuple(range(1, p))
 
 
 def is_lrr(f: Poly, S: SequenceInput) -> bool:
@@ -145,7 +138,7 @@ def shortest_lrr(S: SequenceInput, max_steps: int = DEFAULT_MAX_STEPS) -> LrrSol
         length=d.degree,
         companion=-pivot.component(2),
         param_basis=params,
-        pivot_digit_range=pivot_digits(ring.p),
+        pivot_digit_range=tuple(range(1, ring.p)),
         pivot_index=ell,
         pbasis=basis,
     )

@@ -297,11 +297,7 @@ class PolyVec:
         return PolyVec(self.ring, self.q, terms)
 
     def __neg__(self) -> "PolyVec":
-        m = self.ring.modulus
-        # every stored residue is nonzero, so its negative is m - v, never 0
-        return PolyVec._trusted(
-            self.ring, self.q, {mono: m - v for mono, v in self.terms.items()}
-        )
+        return PolyVec(self.ring, self.q, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c: int) -> "PolyVec":
         m = self.ring.modulus

@@ -9,12 +9,11 @@ the README).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import ParseError
 from .groebner import GroebnerBasis
-from .lrr import LrrSolution, pivot_digits
+from .lrr import LrrSolution
 from .pbasis import PBasis, format_p_basis, order_differences
 from .polyvec import (
     Monomial,
@@ -37,18 +36,6 @@ def format_monomial(m: Monomial) -> str:
 
 def _betas_csv(betas) -> str:
     return ",".join(str(b) for b in betas)
-
-
-@functools.lru_cache(maxsize=32)
-def _digit_range_csv(start: int, p: int) -> str:
-    """"start,...,p-1", built once per (start, p): it is O(p) long."""
-    return ",".join(str(d) for d in range(start, p))
-
-
-def _pivot_digits_csv(ring: Zpr, digits: tuple[int, ...]) -> str:
-    if digits is pivot_digits(ring.p):  # what every solver-made solution holds
-        return _digit_range_csv(1, ring.p)
-    return ",".join(str(d) for d in digits)
 
 
 # -- structured documents ------------------------------------------------------
@@ -204,7 +191,7 @@ def render_lrr_doc(doc: LrrDoc) -> str:
         f"length: {doc.length}",
         f"companion: {format_poly(doc.companion)}",
         f"pivot: {doc.pivot_index + 1}",
-        f"pivot-digits: {_pivot_digits_csv(ring, doc.pivot_digits)}",
+        f"pivot-digits: {','.join(str(d) for d in doc.pivot_digits)}",
     ]
     for d, budget in doc.params:
         lines.append(f"param: {format_poly(d)} budget={budget}")
@@ -286,10 +273,10 @@ def render_p_basis_human(basis: PBasis) -> str:
 
 def parametrization_template(sol: LrrSolution) -> list[str]:
     ring = sol.ring
-    digit_set = "{" + _digit_range_csv(0, ring.p) + "}"
+    digit_set = "{" + ",".join(str(d) for d in range(ring.p)) + "}"
     pieces = [f"q0*({format_poly(sol.shortest)})"]
     constraints = [
-        f"q0: nonzero digit in {{{_pivot_digits_csv(ring, sol.pivot_digit_range)}}}"
+        f"q0: nonzero digit in {{{','.join(str(d) for d in sol.pivot_digit_range)}}}"
     ]
     for i, (d, budget) in enumerate(sol.param_basis, start=1):
         pieces.append(f"q{i}*({format_poly(d)})")

@@ -98,9 +98,7 @@ class TestGb:
     def test_iteration_cap_fires_before_the_pairs_are_reduced(self, capsys, tmp_path):
         path = tmp_path / "rows.txt"
         path.write_text("".join(f"[x^{k % 97}+{k}]\n" for k in range(1, 4001)))
-        start = time.perf_counter()
         code, _, err = run(capsys, ["gb", "--ring", "256", "--max-steps", "100", str(path)])
-        assert time.perf_counter() - start < 2.0
         assert code == 3
         assert "exceeded 100 pair reductions" in err
 

@@ -107,25 +107,6 @@ class TestShortestLrr:
         assert sol.length == 0
         assert str(sol.shortest) == "1"
 
-    def test_pivot_digits_are_shared_and_rendered_as_held(self):
-        from dataclasses import replace
-
-        from pgroebner.reports import lrr_doc, parse_lrr_doc, render_lrr_doc, render_lrr_human
-
-        ring = Zpr(65521, 1)
-        a = shortest_lrr(SequenceInput(ring, (1, 2, 3, 5)))
-        b = shortest_lrr(SequenceInput(ring, (4, 4, 1)))
-        assert a.pivot_digit_range is b.pivot_digit_range == tuple(range(1, 65521))
-        digits = ",".join(map(str, range(1, 65521)))
-        doc = render_lrr_doc(lrr_doc(a, None))
-        assert f"\npivot-digits: {digits}\n" in doc
-        assert f"q0: nonzero digit in {{{digits}}}\n" in render_lrr_human(a, None)
-        parsed = parse_lrr_doc(doc)
-        assert parsed.pivot_digits is not a.pivot_digit_range
-        assert render_lrr_doc(parsed) == doc
-        # a document renders the digits it holds, not the ones p implies
-        assert "\npivot-digits: 1,2\n" in render_lrr_doc(replace(parsed, pivot_digits=(1, 2)))
-
 
 class TestEnumerateShortest:
     def test_z9a_monic_set(self):

@@ -279,7 +279,6 @@ class TestTrustedConstruction:
                         (f.sub_term_mul(g, c, gamma), self._reference(f, g, c, gamma)),
                         (g.term_mul(c, gamma), self._reference(zero, g, -c, gamma)),
                         (g.scale(c), self._reference(zero, g, -c, 0)),
-                        (-g, self._reference(zero, g, 1, 0)),
                     ]
                     for order in (TOP, POT):
                         if not g.is_zero():
