@@ -64,6 +64,8 @@ class LrrSolution:
     interpolation module (so deg h <= deg shortest).  param_basis holds
     (d_i, degree budget) for the p-basis vectors after the pivot; together
     with a nonzero pivot digit they generate every shortest recurrence.
+    pivot_digit_range is range(1, p), the nonzero digits, held as a range
+    object: as a tuple it would take 2.6 MB at p = 65521.
     """
 
     ring: Zpr
@@ -72,7 +74,7 @@ class LrrSolution:
     length: int
     companion: Poly
     param_basis: tuple[tuple[Poly, int], ...]
-    pivot_digit_range: tuple[int, ...]
+    pivot_digit_range: range
     pivot_index: int
     pbasis: PBasis
 
@@ -138,7 +140,7 @@ def shortest_lrr(S: SequenceInput, max_steps: int = DEFAULT_MAX_STEPS) -> LrrSol
         length=d.degree,
         companion=-pivot.component(2),
         param_basis=params,
-        pivot_digit_range=tuple(range(1, ring.p)),
+        pivot_digit_range=range(1, ring.p),
         pivot_index=ell,
         pbasis=basis,
     )
@@ -147,13 +149,17 @@ def shortest_lrr(S: SequenceInput, max_steps: int = DEFAULT_MAX_STEPS) -> LrrSol
 def _add_params(stage: set, params: list, p: int, m: int, width: int) -> set:
     """Sum onto stage the digit span {sum_s theta_s x^s d} of each (d, budget)."""
     for d, budget in params:
-        span = {(0,) * width}
+        # a single stage tuple seeds the span, which is then already the
+        # sum: the set of the full size is built once, not twice
+        single = len(stage) == 1
+        span = stage if single else {(0,) * width}
         for s in range(budget + 1):
             copy = (0,) * s + d.coeffs + (0,) * (width - d.degree - 1 - s)
             span = {tuple([(a + t * c) % m for a, c in zip(f, copy)])
                     for f in span for t in range(p)}
         # tuple([...]) builds faster than tuple(generator) on this hot path
-        stage = {tuple([(a + b) % m for a, b in zip(f, g)]) for f in stage for g in span}
+        stage = span if single else {tuple([(a + b) % m for a, b in zip(f, g)])
+                                     for f in stage for g in span}
     return stage
 
 
@@ -190,7 +196,12 @@ def enumerate_shortest(
     if monic_only:
         stage = {f for f in stage if f[L] == 1}
     stage = _add_params(stage, rest, p, m, L + 1)
-    return [Poly(sol.ring, f) for f in sorted(stage)]
+    # every tuple is reduced and ends in a unit: the polynomials share the
+    # tuples, and the set is dropped first, so that up to the cap's 65536
+    # results are held once rather than twice
+    ordered = sorted(stage)
+    del stage
+    return [Poly._trusted(sol.ring, f) for f in ordered]
 
 
 def brute_force_shortest(

@@ -99,6 +99,18 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _trusted(cls, ring: Zpr, coeffs: tuple[int, ...]) -> "Poly":
+        """A polynomial that keeps coeffs itself, without copying or checking it.
+
+        coeffs must be a tuple of residues in 0..p^r-1 whose last entry,
+        if any, is nonzero; the public constructor reduces and strips.
+        """
+        f = _new_object(cls)
+        f.ring = ring
+        f.coeffs = coeffs
+        return f
+
+    @classmethod
     def zero(cls, ring: Zpr) -> "Poly":
         return cls(ring)
 

@@ -26,6 +26,18 @@ from .polyvec import (
 )
 from .ring import Zpr
 
+# Long lists (65520 pivot digits at p = 65521, up to 65536 `monic:` lines)
+# are rendered and joined this many items at a time: a string per item for
+# all of them at once would take several times the finished text's memory.
+JOIN_CHUNK = 1024
+
+
+def _join(sep: str, items, fmt=str) -> str:
+    """sep.join(map(fmt, items)) for a sequence, built a chunk at a time."""
+    return sep.join(
+        sep.join(map(fmt, items[k:k + JOIN_CHUNK])) for k in range(0, len(items), JOIN_CHUNK)
+    )
+
 
 def format_monomial(m: Monomial) -> str:
     if m.alpha == 0:
@@ -160,7 +172,7 @@ class LrrDoc:
     length: int
     companion: Poly
     pivot_index: int
-    pivot_digits: tuple[int, ...]
+    pivot_digits: tuple[int, ...] | range  # the solution's range, or parsed
     params: tuple[tuple[Poly, int], ...]
     monic: tuple[Poly, ...] | None  # None when enumeration exceeded the cap
 
@@ -191,7 +203,7 @@ def render_lrr_doc(doc: LrrDoc) -> str:
         f"length: {doc.length}",
         f"companion: {format_poly(doc.companion)}",
         f"pivot: {doc.pivot_index + 1}",
-        f"pivot-digits: {','.join(str(d) for d in doc.pivot_digits)}",
+        f"pivot-digits: {_join(',', doc.pivot_digits)}",
     ]
     for d, budget in doc.params:
         lines.append(f"param: {format_poly(d)} budget={budget}")
@@ -199,8 +211,10 @@ def render_lrr_doc(doc: LrrDoc) -> str:
         lines.append("monic-count: over-cap")
     else:
         lines.append(f"monic-count: {len(doc.monic)}")
-        lines += [f"monic: {format_poly(f)}" for f in doc.monic]
-    return "\n".join(lines) + "\n"
+        if doc.monic:
+            lines.append(_join("\n", doc.monic, lambda f: f"monic: {format_poly(f)}"))
+    lines.append("")  # the final newline, without copying the whole text once more
+    return "\n".join(lines)
 
 
 def parse_lrr_doc(text: str) -> LrrDoc:
@@ -215,6 +229,8 @@ def parse_lrr_doc(text: str) -> LrrDoc:
     companion = parse_poly(ring, _take(fields, "companion"))
     pivot = int(_take(fields, "pivot")) - 1
     digits = tuple(int(d) for d in _take(fields, "pivot-digits").split(","))
+    if digits == tuple(range(1, ring.p)):
+        digits = range(1, ring.p)  # as lrr_doc holds them, so that the two compare equal
     params = []
     for entry in _take_all(fields, "param"):
         poly_text, budget_text = entry.rsplit(" ", 1)
@@ -276,7 +292,7 @@ def parametrization_template(sol: LrrSolution) -> list[str]:
     digit_set = "{" + ",".join(str(d) for d in range(ring.p)) + "}"
     pieces = [f"q0*({format_poly(sol.shortest)})"]
     constraints = [
-        f"q0: nonzero digit in {{{','.join(str(d) for d in sol.pivot_digit_range)}}}"
+        f"q0: nonzero digit in {{{_join(',', sol.pivot_digit_range)}}}"
     ]
     for i, (d, budget) in enumerate(sol.param_basis, start=1):
         pieces.append(f"q{i}*({format_poly(d)})")

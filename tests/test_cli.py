@@ -10,6 +10,9 @@ import pytest
 import pgroebner
 from pgroebner.cli import main
 from pgroebner.reports import (
+    JOIN_CHUNK,
+    _join,
+    lrr_doc,
     parse_gb_doc,
     parse_lrr_doc,
     parse_p_basis_doc,
@@ -237,6 +240,24 @@ class TestLrrCommand:
         )
         assert code == 0
         assert "\nmonic-count: 1\nmonic: x^2+65520x+65520\n" in out
+        # the pivot digits are held as range(1, p) and rendered in chunks
+        assert f"\npivot-digits: {','.join(map(str, range(1, 65521)))}\n" in out
+        assert render_lrr_doc(parse_lrr_doc(out)) == out
+
+    def test_parsed_doc_equals_built_doc(self):
+        for p, r, seq in ((3, 2, (1, 4, 4, 7, 7)), (65521, 1, (1, 2, 3, 5, 8, 13, 21))):
+            S = pgroebner.SequenceInput(pgroebner.Zpr(p, r), seq)
+            sol = pgroebner.shortest_lrr(S)
+            doc = lrr_doc(sol, pgroebner.enumerate_shortest(sol))
+            assert parse_lrr_doc(render_lrr_doc(doc)) == doc
+
+    def test_chunked_join_equals_plain_join(self):
+        for n in (0, 1, JOIN_CHUNK - 1, JOIN_CHUNK, JOIN_CHUNK + 1, 3 * JOIN_CHUNK + 5):
+            for items in (range(7, 7 + n), tuple(range(7, 7 + n))):
+                assert _join(",", items) == ",".join(map(str, items))
+                assert _join("\n", items, lambda v: f"monic: {v}") == "\n".join(
+                    f"monic: {v}" for v in items
+                )
 
     def test_structured_round_trip(self, capsys):
         code, out, _ = run(

@@ -18,6 +18,7 @@ from pgroebner import (
     parse_poly,
     shortest_lrr,
 )
+from pgroebner.lrr import _add_params
 from conftest import SEQ_Z5, SEQ_Z9A, SEQ_Z9B, Z4, Z5, Z8, Z9
 
 
@@ -220,6 +221,56 @@ class TestEnumerateShortest:
         # a top parameter makes f_L = 1 + (multiple of p) on the pivot-1 stage,
         # so the monic filter must run after it is added
         assert reaches_top
+
+    def test_results_are_canonical_polynomials(self):
+        # the returned polynomials keep the enumeration's tuples as they are,
+        # without the public constructor's reduction and stripping
+        rng = random.Random(5150)
+        for ring in (Zpr(2, 1), Z4, Z8, Z9, Zpr(3, 2), Zpr(2, 8)):
+            for _ in range(10):
+                n = rng.randrange(1, 9)
+                S = SequenceInput(ring, tuple(rng.randrange(ring.modulus) for _ in range(n)))
+                sol = shortest_lrr(S)
+                for monic_only in (True, False):
+                    try:
+                        got = enumerate_shortest(sol, monic_only=monic_only, cap=10**4)
+                    except EnumerationTooLarge:
+                        continue
+                    for f in got:
+                        assert type(f.coeffs) is tuple, S.values
+                        assert f.coeffs == Poly(ring, f.coeffs).coeffs, S.values
+
+    def test_digit_spans_against_explicit_sums(self):
+        # a one-tuple stage seeds the span; a larger stage gets the span added
+        # afterwards.  Both must give every f + sum theta_s x^s d_i.
+        rng = random.Random(3141)
+        width = 6
+
+        def explicit(stage, params, p, m):
+            choices = [(d, s) for d, budget in params for s in range(budget + 1)]
+            out = set()
+            for f in stage:
+                for thetas in itertools.product(range(p), repeat=len(choices)):
+                    g = list(f)
+                    for t, (d, s) in zip(thetas, choices):
+                        for k, c in enumerate(d.coeffs):
+                            g[k + s] = (g[k + s] + t * c) % m
+                    out.add(tuple(g))
+            return out
+
+        for ring in (Zpr(2, 1), Z4, Z8, Z9, Zpr(5, 1)):
+            p, m = ring.p, ring.modulus
+            for _ in range(6):
+                params = []
+                for _ in range(rng.randrange(1, 3)):
+                    d = Poly(ring, [rng.randrange(m) for _ in range(rng.randrange(1, 4))])
+                    if not d.is_zero():
+                        params.append((d, rng.randrange(min(width - d.degree, 3 if p < 5 else 2))))
+                one = {tuple(rng.randrange(m) for _ in range(width))}
+                two = one | {tuple(rng.randrange(m) for _ in range(width))}
+                for stage in (one, two):
+                    got = _add_params(set(stage), params, p, m, width)
+                    assert got == explicit(stage, params, p, m), (ring, params)
 
     def test_soundness_on_random_sequences(self):
         rng = random.Random(77)
