@@ -228,13 +228,15 @@ def _cancel_unit_tails(
     """Cancel tail terms covered by unit-lc elements (unique quotients only).
 
     Elements arrive sorted descending by lm and are processed smallest lm
-    first, so reducers are already in canonical form when used.
+    first, so reducers are already in canonical form when used.  Only the
+    later elements are offered: a lm that divides a tail term of g lies
+    below lm(g), so no earlier element's lm can.
     """
     ring = elements[0].ring
     out = list(elements)
     for i in range(len(out) - 1, -1, -1):
         g = out[i]
-        others = out[:i] + out[i + 1 :]
+        others = out[i + 1 :]
         lead = g.lm(order)
         while True:
             for mono, c in g.sorted_terms(order):
@@ -265,6 +267,7 @@ class GroebnerBasis:
     leads: tuple[LeadData, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self._check_elements()  # a zero element has no leading data to compute
         object.__setattr__(
             self, "leads", tuple(lead_data(g, self.order) for g in self.elements)
         )
@@ -298,8 +301,7 @@ class GroebnerBasis:
     def __getitem__(self, i: int) -> PolyVec:
         return self.elements[i]
 
-    def validate(self) -> None:
-        """Raise ValidationFailed unless every structural invariant holds."""
+    def _check_elements(self) -> None:
         if not self.elements:
             raise ValidationFailed("empty basis")
         ring, q = self.ring, self.q
@@ -308,6 +310,11 @@ class GroebnerBasis:
                 raise ValidationFailed("zero element in basis")
             if g.ring != ring or g.q != q:
                 raise ValidationFailed("mixed rings or dimensions in basis")
+
+    def validate(self) -> None:
+        """Raise ValidationFailed unless every structural invariant holds."""
+        self._check_elements()
+        ring, q = self.ring, self.q
         for i, di in enumerate(self.leads):
             if ring.unit_part(di.lc) != 1:
                 raise ValidationFailed(f"element {i} has unnormalized lc {di.lc}")

@@ -124,8 +124,7 @@ def shortest_lrr(S: SequenceInput, max_steps: int = DEFAULT_MAX_STEPS) -> LrrSol
             f"{len(pivots)} candidates with leading position 1 and order {ring.r}"
         )
     ell = pivots[0]
-    pivot = basis.vectors[ell]
-    pivot = pivot.scale(ring.inv(pivot.lc(TOP)))
+    pivot = basis.vectors[ell]  # lc 1: a normalized lc of full order
     d = pivot.component(1)
     assert d.is_monic() and d.degree == pivot.deg(TOP)
     params = tuple(

@@ -295,21 +295,13 @@ class PolyVec:
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other: "PolyVec") -> "PolyVec":
-        self._check(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, 0) + c
-        return PolyVec(self.ring, self.q, terms)
+        return self.sub_term_mul(other, -1, 0)
 
     def __sub__(self, other: "PolyVec") -> "PolyVec":
-        self._check(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, 0) - c
-        return PolyVec(self.ring, self.q, terms)
+        return self.sub_term_mul(other, 1, 0)
 
     def __neg__(self) -> "PolyVec":
-        return PolyVec(self.ring, self.q, {m: -c for m, c in self.terms.items()})
+        return self.scale(-1)
 
     def scale(self, c: int) -> "PolyVec":
         m = self.ring.modulus

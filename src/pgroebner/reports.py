@@ -1,15 +1,18 @@
 """Human and structured text renderings of bases and recurrence solutions.
 
 Structured documents are single self-describing `key: value` texts with a
-leading `doc:` line; they are parsed back into the library's objects and
-re-emitting a parsed document reproduces it byte for byte.  Three kinds
-exist: groebner-basis, p-basis, and lrr-solution (formats documented in
-the README).
+leading `doc:` line.  Three kinds exist: groebner-basis, p-basis, and
+lrr-solution (formats documented in the README).  Each renderer is the only
+statement of its format: a parser reads just the fields that determine the
+value, builds it, and accepts the document only if rendering that value
+gives back the same fields.  So parse then re-emit is byte-identical, and
+anything malformed, inconsistent or non-canonical is a ParseError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import ParseError
 from .groebner import GroebnerBasis
@@ -46,10 +49,6 @@ def format_monomial(m: Monomial) -> str:
     return f"{x}*e{m.pos}"
 
 
-def _betas_csv(betas) -> str:
-    return ",".join(str(b) for b in betas)
-
-
 # -- structured documents ------------------------------------------------------
 
 
@@ -65,73 +64,60 @@ def _lines(text: str) -> list[tuple[str, str]]:
     return out
 
 
-def _take(fields: list[tuple[str, str]], key: str) -> str:
-    if not fields or fields[0][0] != key:
-        found = fields[0][0] if fields else "end of document"
-        raise ParseError(f"expected field {key!r}, found {found!r}")
-    return fields.pop(0)[1]
+def _read(fields: list[tuple[str, str]], key: str, convert=str, many: bool = False):
+    """convert() of the first `key` value, or the list of all of them when many.
+
+    A missing field, or a value that convert rejects, is a ParseError.
+    """
+    values = [v for k, v in fields if k == key]
+    if not (values or many):
+        raise ParseError(f"missing field {key!r}")
+    try:
+        return [convert(v) for v in values] if many else convert(values[0])
+    except ValueError as exc:
+        raise ParseError(f"bad {key!r} field: {exc}") from exc
 
 
-def _take_all(fields: list[tuple[str, str]], key: str) -> list[str]:
-    out = []
-    while fields and fields[0][0] == key:
-        out.append(fields.pop(0)[1])
-    return out
+def _checked(value, render, fields: list[tuple[str, str]]):
+    """value, if rendering it gives back the document's fields; else a ParseError."""
+    for i, (want, got) in enumerate(zip_longest(_lines(render(value)), fields)):
+        if want != got:
+            raise ParseError(f"field {i + 1} is {got!r:.80}, expected {want!r:.80}")
+    return value
 
 
-def _parse_header(fields: list[tuple[str, str]]) -> tuple[Zpr, int, MonomialOrder]:
-    p = int(_take(fields, "p"))
-    r = int(_take(fields, "r"))
-    q = int(_take(fields, "q"))
-    order = MonomialOrder(_take(fields, "order"))
-    return Zpr(p, r), q, order
+def _header(kind: str, ring: Zpr, q: int, order: MonomialOrder) -> list[str]:
+    return [f"doc: {kind}", f"p: {ring.p}", f"r: {ring.r}", f"q: {q}", f"order: {order.value}"]
+
+
+def _parse_header(fields: list[tuple[str, str]], kind: str) -> Zpr:
+    if _read(fields, "doc") != kind:
+        raise ParseError(f"not a {kind} document")
+    p = _read(fields, "p", int)
+    return _read(fields, "r", lambda r: Zpr(p, int(r)))
 
 
 def render_gb_doc(G: GroebnerBasis) -> str:
-    ring = G.ring
-    lines = [
-        "doc: groebner-basis",
-        f"p: {ring.p}",
-        f"r: {ring.r}",
-        f"q: {G.q}",
-        f"order: {G.order.value}",
-        f"size: {len(G)}",
-    ]
+    lines = _header("groebner-basis", G.ring, G.q, G.order) + [f"size: {len(G)}"]
     lines += [f"elem: {format_vector(g)}" for g in G.elements]
     lines += [
         f"lead: pos={d.lpos} deg={d.deg} ord={d.ord} lc={d.lc}" for d in G.leads
     ]
-    lines.append(f"betas: {_betas_csv(order_differences(G).betas)}")
+    lines.append(f"betas: {_join(',', order_differences(G).betas)}")
     return "\n".join(lines) + "\n"
 
 
 def parse_gb_doc(text: str) -> GroebnerBasis:
     fields = _lines(text)
-    if _take(fields, "doc") != "groebner-basis":
-        raise ParseError("not a groebner-basis document")
-    ring, q, order = _parse_header(fields)
-    size = int(_take(fields, "size"))
-    rows = [parse_vector(ring, s) for s in _take_all(fields, "elem")]
-    _take_all(fields, "lead")
-    _take(fields, "betas")
-    if fields:
-        raise ParseError(f"unexpected trailing field {fields[0][0]!r}")
-    if len(rows) != size or any(r.q != q for r in rows):
-        raise ParseError("inconsistent groebner-basis document")
-    return GroebnerBasis(order, tuple(rows))
+    ring = _parse_header(fields, "groebner-basis")
+    rows = _read(fields, "elem", lambda s: parse_vector(ring, s), many=True)
+    G = GroebnerBasis(_read(fields, "order", MonomialOrder), tuple(rows))
+    return _checked(G, render_gb_doc, fields)
 
 
 def render_p_basis_doc(basis: PBasis) -> str:
-    ring = basis.ring
-    lines = [
-        "doc: p-basis",
-        f"p: {ring.p}",
-        f"r: {ring.r}",
-        f"q: {basis.vectors[0].q}",
-        f"order: {basis.order.value}",
-        f"n: {basis.N}",
-        f"betas: {_betas_csv(basis.betas)}",
-    ]
+    lines = _header("p-basis", basis.ring, basis.vectors[0].q, basis.order)
+    lines += [f"n: {basis.N}", f"betas: {_join(',', basis.betas)}"]
     for v, (src, power) in zip(basis.vectors, basis.provenance):
         lines.append(f"vec: {format_vector(v)} src={src + 1} pow={power}")
     return "\n".join(lines) + "\n"
@@ -139,32 +125,31 @@ def render_p_basis_doc(basis: PBasis) -> str:
 
 def parse_p_basis_doc(text: str) -> PBasis:
     fields = _lines(text)
-    if _take(fields, "doc") != "p-basis":
-        raise ParseError("not a p-basis document")
-    ring, q, order = _parse_header(fields)
-    n = int(_take(fields, "n"))
-    betas = tuple(int(b) for b in _take(fields, "betas").split(","))
-    vectors = []
-    provenance = []
-    for entry in _take_all(fields, "vec"):
-        try:
-            vec_text, src_text, pow_text = entry.rsplit(" ", 2)
-            src = int(src_text.removeprefix("src="))
-            power = int(pow_text.removeprefix("pow="))
-        except ValueError as exc:
-            raise ParseError(f"bad vec entry {entry!r}") from exc
-        vectors.append(parse_vector(ring, vec_text))
-        provenance.append((src - 1, power))
-    if fields:
-        raise ParseError(f"unexpected trailing field {fields[0][0]!r}")
-    if len(vectors) != n or sum(betas) != n or any(v.q != q for v in vectors):
+    ring = _parse_header(fields, "p-basis")
+
+    def vec_entry(entry: str):
+        vec_text, src_text, pow_text = entry.rsplit(" ", 2)
+        src = int(src_text.removeprefix("src=")) - 1
+        return parse_vector(ring, vec_text), (src, int(pow_text.removeprefix("pow=")))
+
+    entries = _read(fields, "vec", vec_entry, many=True)
+    betas = _read(fields, "betas", lambda s: tuple(int(b) for b in s.split(",")))
+    # the renderer echoes the betas and each vector's dimension, and needs a vector
+    if not entries or sum(betas) != len(entries) or len({v.q for v, _ in entries}) > 1:
         raise ParseError("inconsistent p-basis document")
-    return PBasis(order, tuple(vectors), tuple(provenance), betas)
+    vectors, provenance = zip(*entries)
+    basis = PBasis(_read(fields, "order", MonomialOrder), vectors, provenance, betas)
+    return _checked(basis, render_p_basis_doc, fields)
 
 
 @dataclass(frozen=True)
 class LrrDoc:
-    """Parsed form of an lrr-solution document."""
+    """Parsed form of an lrr-solution document.
+
+    The document's other fields are derived from these: `n` from the
+    sequence, `monic-count` from the monic set, and `pivot-digits` is
+    always the nonzero digits 1..p-1.
+    """
 
     ring: Zpr
     sequence: tuple[int, ...]
@@ -172,7 +157,6 @@ class LrrDoc:
     length: int
     companion: Poly
     pivot_index: int
-    pivot_digits: tuple[int, ...] | range  # the solution's range, or parsed
     params: tuple[tuple[Poly, int], ...]
     monic: tuple[Poly, ...] | None  # None when enumeration exceeded the cap
 
@@ -185,7 +169,6 @@ def lrr_doc(sol: LrrSolution, monic: list[Poly] | None) -> LrrDoc:
         length=sol.length,
         companion=sol.companion,
         pivot_index=sol.pivot_index,
-        pivot_digits=sol.pivot_digit_range,
         params=sol.param_basis,
         monic=tuple(monic) if monic is not None else None,
     )
@@ -203,7 +186,7 @@ def render_lrr_doc(doc: LrrDoc) -> str:
         f"length: {doc.length}",
         f"companion: {format_poly(doc.companion)}",
         f"pivot: {doc.pivot_index + 1}",
-        f"pivot-digits: {_join(',', doc.pivot_digits)}",
+        f"pivot-digits: {_join(',', range(1, ring.p))}",
     ]
     for d, budget in doc.params:
         lines.append(f"param: {format_poly(d)} budget={budget}")
@@ -219,38 +202,27 @@ def render_lrr_doc(doc: LrrDoc) -> str:
 
 def parse_lrr_doc(text: str) -> LrrDoc:
     fields = _lines(text)
-    if _take(fields, "doc") != "lrr-solution":
-        raise ParseError("not an lrr-solution document")
-    ring = Zpr(int(_take(fields, "p")), int(_take(fields, "r")))
-    n = int(_take(fields, "n"))
-    seq = tuple(int(v) for v in _take(fields, "seq").split(","))
-    shortest = parse_poly(ring, _take(fields, "shortest"))
-    length = int(_take(fields, "length"))
-    companion = parse_poly(ring, _take(fields, "companion"))
-    pivot = int(_take(fields, "pivot")) - 1
-    digits = tuple(int(d) for d in _take(fields, "pivot-digits").split(","))
-    if digits == tuple(range(1, ring.p)):
-        digits = range(1, ring.p)  # as lrr_doc holds them, so that the two compare equal
-    params = []
-    for entry in _take_all(fields, "param"):
+    ring = _parse_header(fields, "lrr-solution")
+
+    def poly(s: str) -> Poly:
+        return parse_poly(ring, s)
+
+    def param(entry: str) -> tuple[Poly, int]:
         poly_text, budget_text = entry.rsplit(" ", 1)
-        params.append(
-            (parse_poly(ring, poly_text), int(budget_text.removeprefix("budget=")))
-        )
-    count_text = _take(fields, "monic-count")
-    if count_text == "over-cap":
-        monic: tuple[Poly, ...] | None = None
-    else:
-        monic = tuple(parse_poly(ring, s) for s in _take_all(fields, "monic"))
-        if len(monic) != int(count_text):
-            raise ParseError("monic-count does not match the monic entries")
-    if fields:
-        raise ParseError(f"unexpected trailing field {fields[0][0]!r}")
-    if len(seq) != n:
-        raise ParseError("sequence length mismatch")
-    return LrrDoc(
-        ring, seq, shortest, length, companion, pivot, digits, tuple(params), monic
+        return poly(poly_text), int(budget_text.removeprefix("budget="))
+
+    over_cap = _read(fields, "monic-count") == "over-cap"
+    doc = LrrDoc(
+        ring,
+        _read(fields, "seq", lambda s: tuple(ring.reduce(int(v)) for v in s.split(","))),
+        _read(fields, "shortest", poly),
+        _read(fields, "length", int),
+        _read(fields, "companion", poly),
+        _read(fields, "pivot", int) - 1,
+        tuple(_read(fields, "param", param, many=True)),
+        None if over_cap else tuple(_read(fields, "monic", poly, many=True)),
     )
+    return _checked(doc, render_lrr_doc, fields)
 
 
 # -- human renderings ------------------------------------------------------------
@@ -270,7 +242,7 @@ def render_gb_human(G: GroebnerBasis) -> str:
             f"  g{i}: lm={format_monomial(d.lm)} lc={d.lc} "
             f"lpos={d.lpos} deg={d.deg} ord={d.ord}"
         )
-    lines.append(f"order differences: ({_betas_csv(order_differences(G).betas)})")
+    lines.append(f"order differences: ({_join(',', order_differences(G).betas)})")
     return "\n".join(lines) + "\n"
 
 

@@ -109,10 +109,7 @@ class Zpr:
         x = self.reduce(x)
         if not self.is_unit(x):
             raise NotAUnit(f"{x} is not a unit in {self}")
-        # extended Euclid on (x, p^r); works uniformly for all p, r
-        g, s, _ = _xgcd(x, self.modulus)
-        assert g == 1
-        return s % self.modulus
+        return pow(x, -1, self.modulus)
 
     def digits(self, x: int) -> tuple[int, ...]:
         """p-adic digit expansion (d_0, ..., d_{r-1}) with sum d_l * p^l = x."""
@@ -128,16 +125,6 @@ class Zpr:
         for d in reversed(digits):
             x = x * self.p + d
         return self.reduce(x)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, rem = divmod(a, b)
-        a, b = b, rem
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
 
 
 @dataclass(frozen=True)

@@ -329,7 +329,7 @@ class TestReducerIndex:
 
 
 def _reference_quotient(ring, target, by):
-    """The quotient as unit parts and an xgcd inverse give it."""
+    """The quotient as unit parts and `Zpr.inv` give it."""
     vt, vb = ring.vp(target), ring.vp(by)
     c = ring.mul(ring.unit_part(target), ring.inv(ring.unit_part(by))) * ring.p ** (vt - vb)
     return c % ring.p ** (ring.r - vb)
@@ -410,6 +410,12 @@ class TestGroebnerBasisValidation:
         bad = [G[0].scale(2)] + G[1:]
         with pytest.raises(ValidationFailed):
             GroebnerBasis(TOP, tuple(bad))
+
+    def test_zero_element_rejected(self):
+        G = tuple(rows(Z9, GB_Z9A_TOP))
+        for bad in ((PolyVec.zero(Z9, 2),), G + (PolyVec.zero(Z9, 2),)):
+            with pytest.raises(ValidationFailed, match="zero element"):
+                GroebnerBasis(TOP, bad)
 
     def test_size_bound(self):
         G = buchberger(z9a_generators(), TOP)

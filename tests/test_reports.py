@@ -1,0 +1,130 @@
+"""Structured documents: a malformed document ends in a library error, never a traceback.
+
+Every document is mutated field by field and line by line.  Each mutant
+must either raise ParseError (or ValidationFailed, when well-formed fields
+describe an invalid basis) or parse into a value whose rendering gives
+back the mutant's own fields.
+"""
+
+import pytest
+
+from pgroebner import (
+    POT,
+    TOP,
+    ParseError,
+    SequenceInput,
+    ValidationFailed,
+    Zpr,
+    buchberger,
+    build_p_basis,
+    enumerate_shortest,
+    parse_matrix,
+    shortest_lrr,
+)
+from pgroebner.reports import (
+    _lines,
+    lrr_doc,
+    parse_gb_doc,
+    parse_lrr_doc,
+    parse_p_basis_doc,
+    render_gb_doc,
+    render_lrr_doc,
+    render_p_basis_doc,
+)
+from conftest import GEN_Z9A, Z8, Z9
+
+KINDS = {
+    "groebner-basis": (parse_gb_doc, render_gb_doc),
+    "p-basis": (parse_p_basis_doc, render_p_basis_doc),
+    "lrr-solution": (parse_lrr_doc, render_lrr_doc),
+}
+BAD_VALUES = ("x", "", "-1", "1,,2", "over-cap", "[1, x, x^2]")
+
+
+def _lrr_text(ring, seq, over_cap=False):
+    sol = shortest_lrr(SequenceInput(ring, seq))
+    return render_lrr_doc(lrr_doc(sol, None if over_cap else enumerate_shortest(sol)))
+
+
+def _documents():
+    docs = []
+    for ring, text in ((Z9, GEN_Z9A), (Z8, "[x^2+2, 4x, 1]\n[2x, x^3, 0]\n[4, 2x+2, x]\n")):
+        for order in (TOP, POT):
+            G = buchberger(parse_matrix(ring, text), order)
+            docs += [render_gb_doc(G), render_p_basis_doc(build_p_basis(G))]
+    for ring, seq in ((Z9, (1, 4, 4, 7, 7)), (Z8, (1, 2, 5, 2, 7, 6)), (Zpr(65521, 1), (1, 2, 3, 5))):
+        docs += [_lrr_text(ring, seq), _lrr_text(ring, seq, over_cap=True)]
+    return docs
+
+
+def _mutants(text):
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        key = line.split(":", 1)[0]
+        for bad in BAD_VALUES:
+            yield lines[:i] + [f"{key}: {bad}"] + lines[i + 1:]
+        yield lines[:i] + lines[i + 1:]
+        yield lines[:i + 1] + [line] + lines[i + 1:]
+        if i + 1 < len(lines):
+            yield lines[:i] + [lines[i + 1], line] + lines[i + 2:]
+
+
+def _assert_error_or_faithful(kind, text):
+    parse, render = KINDS[kind]
+    try:
+        value = parse(text)
+    except (ParseError, ValidationFailed):
+        return
+    assert _lines(render(value)) == _lines(text), text[:300]
+
+
+def test_mutated_documents_fail_cleanly_or_parse_faithfully():
+    for text in _documents():
+        kind = _lines(text)[0][1]
+        for lines in _mutants(text):
+            _assert_error_or_faithful(kind, "\n".join(lines) + "\n")
+
+
+def _edited(text, key, value):
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"{key}:"))
+    return "\n".join(lines[:i] + [f"{key}: {value}"] + lines[i + 1:]) + "\n"
+
+
+def _gb_text():
+    return render_gb_doc(buchberger(parse_matrix(Z9, GEN_Z9A), TOP))
+
+
+def _lrr_z9_text():
+    return _lrr_text(Z9, (1, 4, 4, 7, 7))
+
+
+NAMED_CASES = {
+    "wrong-lead": lambda: _edited(_gb_text(), "lead", "pos=2 deg=5 ord=2 lc=8"),
+    "wrong-betas": lambda: _edited(_gb_text(), "betas", "1,1,1,2"),
+    "wrong-size": lambda: _edited(_gb_text(), "size", "3"),
+    "residue-above-modulus": lambda: _edited(_gb_text(), "elem", "[17, x^5+4x^4+4x^3+7x^2+7x]"),
+    "noncanonical-vector": lambda: _edited(_gb_text(), "elem", "[8,x^5+4x^4+4x^3+7x^2+7x]"),
+    "wrong-p-basis-n": lambda: _edited(
+        render_p_basis_doc(build_p_basis(buchberger(parse_matrix(Z9, GEN_Z9A), POT))), "n", "3"
+    ),
+    "wrong-pivot-digits": lambda: _edited(
+        _lrr_text(Zpr(5, 1), (1, 4, 3, 3, 2)), "pivot-digits", "1,2"
+    ),
+    "wrong-monic-count": lambda: _edited(_lrr_z9_text(), "monic-count", "2"),
+    "wrong-lrr-n": lambda: _edited(_lrr_z9_text(), "n", "4"),
+    "sequence-residue-above-modulus": lambda: _edited(_lrr_z9_text(), "seq", "1,4,4,7,16"),
+}
+
+
+@pytest.mark.parametrize("case", NAMED_CASES)
+def test_inconsistent_or_noncanonical_fields_are_parse_errors(case):
+    text = NAMED_CASES[case]()
+    with pytest.raises(ParseError):
+        KINDS[_lines(text)[0][1]][0](text)
+
+
+def test_basis_with_an_element_zero_in_the_documents_ring_fails_validation():
+    # over Z_3 the element [3x+6, 3x] of the Z_9 basis is zero
+    with pytest.raises(ValidationFailed, match="zero element"):
+        parse_gb_doc(_edited(_gb_text(), "r", "1"))
