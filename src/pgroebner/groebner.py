@@ -3,11 +3,25 @@
 Over Z_{p^r} the leading coefficients are not always invertible, so the
 classic completion loop is extended in two ways:
 
-* an S-pair is formed for every two elements with the same leading
-  position, shifting both to the lcm degree and scaling both leading
-  coefficients to p^max(r-ord1, r-ord2);
+* S-pairs join elements with the same leading position, shifting both to
+  the lcm degree and scaling both leading coefficients to
+  p^max(r-ord1, r-ord2);
 * every element g whose leading coefficient is a zero divisor contributes
   an annihilator pair p^ord(g) * g, which must also reduce to zero.
+
+For r > 1 every two elements of one leading position form a pair.  Over a
+field (r = 1) a new element k forms one, with the earlier element j of its
+position that minimizes max(a_j, a_k), first index on ties (a_i is the
+degree of lm(g_i)): Gebauer-Moeller's chain criterion (JSC 1988).  Sound:
+per position the pairs form a tree, and by induction on k every node on
+the path between i < k has degree <= max(a_i, a_k), since the path leaves
+k through j and a_j <= max(a_i, a_k) as i was a candidate.  With unit
+leading coefficients S(i, k) is the sum of the path's S-pairs shifted up
+to lcm(i, k), and each was reduced to zero, so S(i, k) has a
+representation below lcm(i, k).  The output is the unique reduced basis
+whatever the pairs, as every lc is a unit and the tail cancellation below
+is complete.  The argument needs unit leading coefficients, so for r > 1
+every pair is kept.
 
 A leading term c*X is cancellable by a reducer g with lm(g) dividing X
 exactly when ord(g) >= ord(c), i.e. when c lies in the ideal generated by
@@ -349,6 +363,15 @@ def _check_inputs(generators: list[PolyVec]) -> tuple[Zpr, int]:
     return ring, q
 
 
+def _one_pair(pairs: list[tuple[int, int]], alpha: int) -> list[tuple[int, int]]:
+    """Over a field, the one S-pair of a new element of degree alpha.
+
+    pairs holds (index, degree) of the earlier elements at its position.
+    Tests replace this by the identity: the all-pairs reference.
+    """
+    return [min(pairs, key=lambda e: max(e[1], alpha))]
+
+
 def buchberger(
     generators: list[PolyVec],
     order: MonomialOrder,
@@ -358,7 +381,8 @@ def buchberger(
 
     Completion processes S-pairs for equal leading positions and
     annihilator pairs for zero-divisor leading coefficients until every
-    pair reduces to zero, then minimalizes.  Deterministic: identical
+    pair reduces to zero, then minimalizes.  Over a field each new element
+    forms one S-pair (see the module docstring).  Deterministic: identical
     inputs yield identical bases.  max_steps caps the number of pair
     reductions.  Every queued pair is reduced in the end, so the cap
     raises IterationLimitExceeded as soon as more pairs are queued than
@@ -367,6 +391,7 @@ def buchberger(
     behavior.
     """
     ring, _ = _check_inputs(generators)
+    field = ring.r == 1
     basis = _ReducerIndex(order)
     heap: list[tuple[tuple[int, int], int, int, int]] = []
     seq = itertools.count()
@@ -382,10 +407,13 @@ def buchberger(
         k = len(basis)
         basis.append(g)
         _, km, k_ord = g.lead(order)
-        for i in range(k):
-            im = basis[i].lead(order)[1]
-            if im.pos == km.pos:
-                push(Monomial(max(im.alpha, km.alpha), km.pos), i, k)
+        pairs = [
+            (i, im.alpha) for i in range(k) if (im := basis[i].lead(order)[1]).pos == km.pos
+        ]
+        if field and pairs:
+            pairs = _one_pair(pairs, km.alpha)
+        for i, alpha in pairs:
+            push(Monomial(max(alpha, km.alpha), km.pos), i, k)
         if k_ord < ring.r:
             # annihilator pair, encoded with j == -1
             push(km, k, -1)

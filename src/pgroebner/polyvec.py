@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import re
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, MixedRings, ParseError, ZeroVector
@@ -40,6 +41,8 @@ from .ring import Zpr
 # the Python-level NamedTuple and PolyVec constructors.
 _new_tuple = tuple.__new__
 _new_object = object.__new__
+
+_pos_of = itemgetter(1)
 
 
 class Monomial(NamedTuple):
@@ -370,7 +373,10 @@ class PolyVec:
                     m = Monomial(alpha, pos)
                     break
         else:
-            m = max(terms, key=order.key)
+            # POT wants the smallest position, then its top degree: one C-level
+            # pass for the position instead of a key call per term
+            pos = min(map(_pos_of, terms))
+            m = max([mono for mono in terms if mono[1] == pos])
         c = terms[m]
         return c, m, self.ring.ord(c)
 

@@ -6,7 +6,11 @@ lrr-solution (formats documented in the README).  Each renderer is the only
 statement of its format: a parser reads just the fields that determine the
 value, builds it, and accepts the document only if rendering that value
 gives back the same fields.  So parse then re-emit is byte-identical, and
-anything malformed, inconsistent or non-canonical is a ParseError.
+anything malformed, inconsistent or non-canonical is a ParseError.  The
+mathematics is checked where that is cheap: a p-basis document must be
+the one `build_p_basis` derives from its source vectors, and the
+`shortest` of an lrr-solution must be a monic recurrence of its `seq` with
+degree `length`.
 """
 
 from __future__ import annotations
@@ -14,14 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .errors import ParseError
+from .errors import ParseError, ValidationFailed
 from .groebner import GroebnerBasis
-from .lrr import LrrSolution
-from .pbasis import PBasis, format_p_basis, order_differences
+from .lrr import LrrSolution, SequenceInput, is_lrr
+from .pbasis import PBasis, build_p_basis, format_p_basis, order_differences
 from .polyvec import (
     Monomial,
     MonomialOrder,
     Poly,
+    PolyVec,
     format_poly,
     format_vector,
     parse_poly,
@@ -124,21 +129,26 @@ def render_p_basis_doc(basis: PBasis) -> str:
 
 
 def parse_p_basis_doc(text: str) -> PBasis:
+    """The p-basis that `build_p_basis` derives from the document's pow=0 vectors.
+
+    Those vectors are the source basis, which must pass GroebnerBasis's
+    validation, and the derived p-basis, p-generator check included, must
+    render back to the document.  A document that fails either is a
+    ParseError.
+    """
     fields = _lines(text)
     ring = _parse_header(fields, "p-basis")
 
-    def vec_entry(entry: str):
-        vec_text, src_text, pow_text = entry.rsplit(" ", 2)
-        src = int(src_text.removeprefix("src=")) - 1
-        return parse_vector(ring, vec_text), (src, int(pow_text.removeprefix("pow=")))
+    def source(entry: str) -> PolyVec | None:
+        vec_text, _, pow_text = entry.rsplit(" ", 2)
+        return parse_vector(ring, vec_text) if pow_text == "pow=0" else None
 
-    entries = _read(fields, "vec", vec_entry, many=True)
-    betas = _read(fields, "betas", lambda s: tuple(int(b) for b in s.split(",")))
-    # the renderer echoes the betas and each vector's dimension, and needs a vector
-    if not entries or sum(betas) != len(entries) or len({v.q for v, _ in entries}) > 1:
-        raise ParseError("inconsistent p-basis document")
-    vectors, provenance = zip(*entries)
-    basis = PBasis(_read(fields, "order", MonomialOrder), vectors, provenance, betas)
+    elements = [v for v in _read(fields, "vec", source, many=True) if v is not None]
+    try:
+        G = GroebnerBasis(_read(fields, "order", MonomialOrder), tuple(elements))
+        basis = build_p_basis(G)
+    except ValidationFailed as exc:
+        raise ParseError(f"not a p-basis: {exc}") from exc
     return _checked(basis, render_p_basis_doc, fields)
 
 
@@ -222,7 +232,12 @@ def parse_lrr_doc(text: str) -> LrrDoc:
         tuple(_read(fields, "param", param, many=True)),
         None if over_cap else tuple(_read(fields, "monic", poly, many=True)),
     )
-    return _checked(doc, render_lrr_doc, fields)
+    _checked(doc, render_lrr_doc, fields)
+    f = doc.shortest
+    if not (f.is_monic() and f.degree == doc.length
+            and is_lrr(f, SequenceInput(ring, doc.sequence))):
+        raise ParseError("shortest is not a monic recurrence of seq of degree length")
+    return doc
 
 
 # -- human renderings ------------------------------------------------------------

@@ -356,3 +356,16 @@ class TestDeterminism:
         assert first.returncode == 0
         assert first.stdout == second.stdout
         assert "shortest: x^2+3x+2" in first.stdout
+
+    def test_package_entry_point(self):
+        # `python -m pgroebner` is the same front end, exit codes included
+        where = Path(pgroebner.__file__).parents[1]
+        args = ["lrr", "--ring", "9", "--seq", "1,4,4,7,7", "--structured"]
+        runs = [
+            subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True, cwd=where)
+            for module in ("pgroebner", "pgroebner.cli")
+            for argv in (args, ["lrr", "--ring", "6", "--seq", "1"])
+        ]
+        assert [r.returncode for r in runs] == [0, 2, 0, 2]
+        assert runs[0].stdout == runs[2].stdout and "shortest: x^2+3x+2" in runs[0].stdout
+        assert "not a prime power" in runs[1].stderr

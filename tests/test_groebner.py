@@ -7,6 +7,7 @@ import pytest
 from pgroebner import (
     POT,
     TOP,
+    EnumerationTooLarge,
     GroebnerBasis,
     IterationLimitExceeded,
     Monomial,
@@ -21,15 +22,17 @@ from pgroebner import (
     build_module,
     build_p_basis,
     check_plm,
+    enumerate_shortest,
     groebner,
     is_groebner,
     minimalize,
     module_equal,
     normal_form,
     reduce_step,
+    shortest_lrr,
 )
 from pgroebner.groebner import _pick_reducer, _quotient, _ReducerIndex
-from pgroebner.reports import render_gb_doc, render_p_basis_doc
+from pgroebner.reports import lrr_doc, render_gb_doc, render_lrr_doc, render_p_basis_doc
 from conftest import (
     GB_Z5_TOP,
     GB_Z9A_TOP,
@@ -326,6 +329,70 @@ class TestReducerIndex:
         indexed = docs()
         monkeypatch.setattr(groebner, "_ReducerIndex", lambda order: [])
         assert docs() == indexed
+
+
+def _baseline_sequence(ring, n):
+    """The seeded sequence of length n that the ROADMAP baseline table times."""
+    rng = random.Random(n * 1000 + ring.modulus)
+    return SequenceInput(ring, tuple(rng.randrange(ring.modulus) for _ in range(n)))
+
+
+class TestFieldPairs:
+    """Over a field each new element forms one S-pair; all pairs stay the reference."""
+
+    FIELDS = (Zpr(2, 1), Zpr(3, 1), Zpr(7, 1), Zpr(65521, 1))
+
+    def test_one_pair_per_element_equals_all_pairs(self, monkeypatch):
+        rng = random.Random(64)
+        modules, sequences = [], []
+        for k in range(96):
+            ring, q = self.FIELDS[k % 4], 1 + k // 4 % 4
+            gens = [
+                PolyVec(ring, q, {
+                    Monomial(rng.randrange(7), rng.randrange(1, q + 1)): rng.randrange(1, ring.modulus)
+                    for _ in range(rng.randrange(1, 6))
+                })
+                for _ in range(rng.randrange(1, 5))
+            ]
+            modules += [(gens, order) for order in (TOP, POT)]
+        for ring in self.FIELDS:
+            for n in (1, 2, 5, 16, 33, 64):
+                sequences.append(SequenceInput(ring, tuple(rng.randrange(ring.modulus) for _ in range(n))))
+
+        def docs(check):
+            out = []
+            for gens, order in modules:
+                G = buchberger(gens, order)
+                assert not check or is_groebner(list(G), order)
+                out.append(render_gb_doc(G) + render_p_basis_doc(build_p_basis(G)))
+            for S in sequences:
+                sol = shortest_lrr(S)
+                try:
+                    monic = enumerate_shortest(sol, cap=512)
+                except EnumerationTooLarge:
+                    monic = None
+                out.append(render_lrr_doc(lrr_doc(sol, monic)))
+            return out
+
+        one_pair = docs(check=True)
+        monkeypatch.setattr(groebner, "_one_pair", lambda pairs, alpha: pairs)
+        assert docs(check=False) == one_pair
+
+    @staticmethod
+    def _normal_forms(monkeypatch, S):
+        calls = []
+        nf = groebner.normal_form
+        monkeypatch.setattr(groebner, "normal_form", lambda *a: (calls.append(a), nf(*a))[1])
+        shortest_lrr(S)
+        return len(calls)
+
+    @pytest.mark.parametrize("p, n", [(2, 32), (2, 64), (2, 128), (2, 256), (65521, 32), (65521, 64)])
+    def test_field_completion_reduces_at_most_n_pairs(self, monkeypatch, p, n):
+        assert self._normal_forms(monkeypatch, _baseline_sequence(Zpr(p, 1), n)) <= n
+
+    @pytest.mark.parametrize("p, r, n, count", [(2, 8, 16, 616), (3, 4, 32, 930), (2, 8, 32, 3257)])
+    def test_chain_ring_completion_keeps_every_pair(self, monkeypatch, p, r, n, count):
+        assert self._normal_forms(monkeypatch, _baseline_sequence(Zpr(p, r), n)) == count
 
 
 def _reference_quotient(ring, target, by):

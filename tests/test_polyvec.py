@@ -128,8 +128,9 @@ class TestLeadCache:
         orders_differ = 0
         for ring in self.RINGS:
             for q in range(1, 5):
-                for _ in range(30):
-                    v = _random_vec(rng, ring, q)
+                # up to 4 terms, and up to 49 where the POT position pass matters
+                for size in [5] * 30 + [50] * 10:
+                    v = _random_vec(rng, ring, q, size)
                     if v.is_zero():
                         continue
                     orders_differ += v.lm(TOP) != v.lm(POT)
@@ -232,10 +233,10 @@ class TestArithmetic:
                     assert h.lm(order) == top
 
 
-def _random_vec(rng, ring=Z9, q=2):
+def _random_vec(rng, ring=Z9, q=2, size=5):
     terms = {
-        Monomial(rng.randrange(5), rng.randrange(1, q + 1)): rng.randrange(ring.modulus)
-        for _ in range(rng.randrange(5))
+        Monomial(rng.randrange(size), rng.randrange(1, q + 1)): rng.randrange(ring.modulus)
+        for _ in range(rng.randrange(size))
     }
     return PolyVec(ring, q, terms)
 

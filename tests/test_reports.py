@@ -99,21 +99,34 @@ def _lrr_z9_text():
     return _lrr_text(Z9, (1, 4, 4, 7, 7))
 
 
+def _p_basis_text(order):
+    return render_p_basis_doc(build_p_basis(buchberger(parse_matrix(Z9, GEN_Z9A), order)))
+
+
+def _first_vec_lines_swapped(text):
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("vec:"))
+    return "\n".join(lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:]) + "\n"
+
+
 NAMED_CASES = {
     "wrong-lead": lambda: _edited(_gb_text(), "lead", "pos=2 deg=5 ord=2 lc=8"),
     "wrong-betas": lambda: _edited(_gb_text(), "betas", "1,1,1,2"),
     "wrong-size": lambda: _edited(_gb_text(), "size", "3"),
     "residue-above-modulus": lambda: _edited(_gb_text(), "elem", "[17, x^5+4x^4+4x^3+7x^2+7x]"),
     "noncanonical-vector": lambda: _edited(_gb_text(), "elem", "[8,x^5+4x^4+4x^3+7x^2+7x]"),
-    "wrong-p-basis-n": lambda: _edited(
-        render_p_basis_doc(build_p_basis(buchberger(parse_matrix(Z9, GEN_Z9A), POT))), "n", "3"
-    ),
+    "wrong-p-basis-n": lambda: _edited(_p_basis_text(POT), "n", "3"),
+    # two source elements, and g with p*g: every line stays well-formed
+    "swapped-p-basis-sources": lambda: _first_vec_lines_swapped(_p_basis_text(TOP)),
+    "swapped-p-basis-powers": lambda: _first_vec_lines_swapped(_p_basis_text(POT)),
     "wrong-pivot-digits": lambda: _edited(
         _lrr_text(Zpr(5, 1), (1, 4, 3, 3, 2)), "pivot-digits", "1,2"
     ),
     "wrong-monic-count": lambda: _edited(_lrr_z9_text(), "monic-count", "2"),
     "wrong-lrr-n": lambda: _edited(_lrr_z9_text(), "n", "4"),
     "sequence-residue-above-modulus": lambda: _edited(_lrr_z9_text(), "seq", "1,4,4,7,16"),
+    "negative-length": lambda: _edited(_lrr_z9_text(), "length", "-1"),
+    "shortest-not-a-recurrence": lambda: _edited(_lrr_z9_text(), "shortest", "x"),
 }
 
 
