@@ -8,9 +8,12 @@ value, builds it, and accepts the document only if rendering that value
 gives back the same fields.  So parse then re-emit is byte-identical, and
 anything malformed, inconsistent or non-canonical is a ParseError.  The
 mathematics is checked where that is cheap: a p-basis document must be
-the one `build_p_basis` derives from its source vectors, and the
-`shortest` of an lrr-solution must be a monic recurrence of its `seq` with
-degree `length`.
+the one `build_p_basis` derives from its source vectors.  In an
+lrr-solution, `shortest` and the `monic:` lines must be recurrences of
+`seq` of degree `length` with unit leading coefficients (`shortest`
+monic), the `monic:` lines strictly ascending and holding `shortest`;
+`companion` must be shortest*S(x) mod x^(n+1), `pivot` 2r minus the
+number of `param:` lines, and the `param:` budgets must ascend from 0.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from itertools import zip_longest
 
 from .errors import ParseError, ValidationFailed
 from .groebner import GroebnerBasis
-from .lrr import LrrSolution, SequenceInput, is_lrr
+from .lrr import LrrSolution, SequenceInput, build_module, is_lrr
 from .pbasis import PBasis, build_p_basis, format_p_basis, order_differences
 from .polyvec import (
     Monomial,
@@ -233,10 +236,33 @@ def parse_lrr_doc(text: str) -> LrrDoc:
         None if over_cap else tuple(_read(fields, "monic", poly, many=True)),
     )
     _checked(doc, render_lrr_doc, fields)
+    S = SequenceInput(ring, doc.sequence)
+
+    def recurrence(f: Poly) -> bool:
+        """f annihilates seq, has degree length and a unit leading coefficient."""
+        return f.degree == doc.length and is_lrr(f, S)
+
     f = doc.shortest
-    if not (f.is_monic() and f.degree == doc.length
-            and is_lrr(f, SequenceInput(ring, doc.sequence))):
+    if not (f.is_monic() and recurrence(f)):
         raise ParseError("shortest is not a monic recurrence of seq of degree length")
+    # [shortest, -companion] lies in the module of [1, -S(x)] and [0, x^(n+1)]
+    s_poly = -build_module(S)[0].component(2)
+    if doc.companion != Poly(ring, (f * s_poly).coeffs[:S.n + 1]):
+        raise ParseError("companion is not shortest*S(x) mod x^(n+1)")
+    # that module is free of rank 2, so its p-basis has 2r vectors, and
+    # their degrees descend, so the budgets after the pivot ascend
+    if doc.pivot_index + 1 != 2 * ring.r - len(doc.params):
+        raise ParseError("pivot is not 2r minus the number of params")
+    budgets = [0] + [budget for _, budget in doc.params]
+    if any(a > b for a, b in zip(budgets, budgets[1:])):
+        raise ParseError("param budgets do not ascend from 0")
+    # monic: lines hold the monic solutions, or under `lrr --all` every
+    # unit-leading-coefficient one, in ascending coefficient order
+    if doc.monic is not None:
+        keys = [g.coeffs for g in doc.monic]
+        if not (all(a < b for a, b in zip(keys, keys[1:])) and f.coeffs in keys
+                and all(map(recurrence, doc.monic))):
+            raise ParseError("monic lines are not ascending recurrences of seq holding shortest")
     return doc
 
 

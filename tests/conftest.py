@@ -2,7 +2,7 @@
 
 import pytest
 
-from pgroebner import Zpr, parse_matrix, parse_vector
+from pgroebner import Zpr, groebner, parse_matrix, parse_vector
 
 Z4 = Zpr(2, 2)
 Z5 = Zpr(5, 1)
@@ -55,6 +55,18 @@ def z8():
 @pytest.fixture
 def z9():
     return Z9
+
+
+@pytest.fixture
+def all_pairs(monkeypatch):
+    """Call it to make `buchberger` reduce every queued pair: the reference
+    for its pair criteria, `_one_pair` over fields and `_chain_criterion` for r > 1."""
+
+    def switch_on():
+        monkeypatch.setattr(groebner, "_one_pair", lambda pairs, alpha: pairs)
+        monkeypatch.setattr(groebner, "_chain_criterion", lambda *a: False)
+
+    return switch_on
 
 
 def rows(ring, text):

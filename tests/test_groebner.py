@@ -337,12 +337,38 @@ def _baseline_sequence(ring, n):
     return SequenceInput(ring, tuple(rng.randrange(ring.modulus) for _ in range(n)))
 
 
+def _normal_forms(monkeypatch, S):
+    """The number of pair reductions `shortest_lrr(S)` runs."""
+    calls = []
+    nf = groebner.normal_form
+    monkeypatch.setattr(groebner, "normal_form", lambda *a: (calls.append(a), nf(*a))[1])
+    shortest_lrr(S)
+    return len(calls)
+
+
+def _documents(modules, sequences, check):
+    """The gb and p-basis documents of the modules, then the lrr documents of the sequences."""
+    out = []
+    for gens, order in modules:
+        G = buchberger(gens, order)
+        assert not check or is_groebner(list(G), order)
+        out.append(render_gb_doc(G) + render_p_basis_doc(build_p_basis(G)))
+    for S in sequences:
+        sol = shortest_lrr(S)
+        try:
+            monic = enumerate_shortest(sol, cap=512)
+        except EnumerationTooLarge:
+            monic = None
+        out.append(render_lrr_doc(lrr_doc(sol, monic)))
+    return out
+
+
 class TestFieldPairs:
     """Over a field each new element forms one S-pair; all pairs stay the reference."""
 
     FIELDS = (Zpr(2, 1), Zpr(3, 1), Zpr(7, 1), Zpr(65521, 1))
 
-    def test_one_pair_per_element_equals_all_pairs(self, monkeypatch):
+    def test_one_pair_per_element_equals_all_pairs(self, all_pairs):
         rng = random.Random(64)
         modules, sequences = [], []
         for k in range(96):
@@ -359,40 +385,83 @@ class TestFieldPairs:
             for n in (1, 2, 5, 16, 33, 64):
                 sequences.append(SequenceInput(ring, tuple(rng.randrange(ring.modulus) for _ in range(n))))
 
-        def docs(check):
-            out = []
-            for gens, order in modules:
-                G = buchberger(gens, order)
-                assert not check or is_groebner(list(G), order)
-                out.append(render_gb_doc(G) + render_p_basis_doc(build_p_basis(G)))
-            for S in sequences:
-                sol = shortest_lrr(S)
-                try:
-                    monic = enumerate_shortest(sol, cap=512)
-                except EnumerationTooLarge:
-                    monic = None
-                out.append(render_lrr_doc(lrr_doc(sol, monic)))
-            return out
-
-        one_pair = docs(check=True)
-        monkeypatch.setattr(groebner, "_one_pair", lambda pairs, alpha: pairs)
-        assert docs(check=False) == one_pair
-
-    @staticmethod
-    def _normal_forms(monkeypatch, S):
-        calls = []
-        nf = groebner.normal_form
-        monkeypatch.setattr(groebner, "normal_form", lambda *a: (calls.append(a), nf(*a))[1])
-        shortest_lrr(S)
-        return len(calls)
+        one_pair = _documents(modules, sequences, check=True)
+        all_pairs()
+        assert _documents(modules, sequences, check=False) == one_pair
 
     @pytest.mark.parametrize("p, n", [(2, 32), (2, 64), (2, 128), (2, 256), (65521, 32), (65521, 64)])
     def test_field_completion_reduces_at_most_n_pairs(self, monkeypatch, p, n):
-        assert self._normal_forms(monkeypatch, _baseline_sequence(Zpr(p, 1), n)) <= n
+        assert _normal_forms(monkeypatch, _baseline_sequence(Zpr(p, 1), n)) <= n
 
-    @pytest.mark.parametrize("p, r, n, count", [(2, 8, 16, 616), (3, 4, 32, 930), (2, 8, 32, 3257)])
-    def test_chain_ring_completion_keeps_every_pair(self, monkeypatch, p, r, n, count):
-        assert self._normal_forms(monkeypatch, _baseline_sequence(Zpr(p, r), n)) == count
+
+class TestChainPairs:
+    """For r > 1 the chain criterion skips pairs; all pairs stay the reference."""
+
+    RINGS = (Zpr(2, 2), Zpr(2, 3), Zpr(3, 2), Zpr(3, 3), Zpr(3, 4), Zpr(2, 8))
+
+    @classmethod
+    def _inputs(cls):
+        """Seeded q = 1..4 modules under TOP and POT, and sequences up to n = 32."""
+        rng = random.Random(66)
+        modules, sequences = [], []
+        for k in range(96):
+            ring, q = cls.RINGS[k % 6], 1 + k // 6 % 4
+            if k % 2:
+                gens = _seeded_basis(rng, ring, q, rng.randrange(1, 5))
+            else:
+                gens = [
+                    PolyVec(ring, q, {
+                        Monomial(rng.randrange(6), rng.randrange(1, q + 1)): rng.randrange(1, ring.modulus)
+                        for _ in range(rng.randrange(1, 6))
+                    })
+                    for _ in range(rng.randrange(1, 5))
+                ]
+            modules += [(gens, order) for order in (TOP, POT)]
+        for ring in cls.RINGS:
+            for n in (1, 3, 8, 13, 21, 32):
+                sequences.append(SequenceInput(ring, tuple(rng.randrange(ring.modulus) for _ in range(n))))
+        return modules, sequences
+
+    def test_chain_criterion_equals_all_pairs(self, all_pairs):
+        modules, sequences = self._inputs()
+        skipping = _documents(modules, sequences, check=True)
+        all_pairs()
+        assert _documents(modules, sequences, check=False) == skipping
+
+    def test_every_skipped_pair_reduces_to_zero(self, monkeypatch):
+        # the S-vector of each skipped pair, reduced against the live basis
+        live, skipped = [], []
+        index, criterion = groebner._ReducerIndex, groebner._chain_criterion
+
+        def recorded_index(order):
+            live.append(index(order))
+            return live[-1]
+
+        def audited(i, k, *rest):
+            skip = criterion(i, k, *rest)
+            if skip:
+                basis = live[-1]
+                vec = groebner._s_vector(basis[i], basis[k], basis.order)
+                assert normal_form(vec, basis, basis.order).is_zero()
+                skipped.append((i, k))
+            return skip
+
+        monkeypatch.setattr(groebner, "_ReducerIndex", recorded_index)
+        monkeypatch.setattr(groebner, "_chain_criterion", audited)
+        _documents(*self._inputs(), check=False)
+        assert len(skipped) > 1000
+
+    @pytest.mark.parametrize(
+        "p, r, n, count, every_pair",
+        [(2, 8, 16, 216, 616), (3, 4, 32, 155, 930), (2, 8, 32, 872, 3257)],
+    )
+    def test_chain_ring_completion_skips_chain_pairs(
+        self, monkeypatch, all_pairs, p, r, n, count, every_pair
+    ):
+        S = _baseline_sequence(Zpr(p, r), n)
+        assert _normal_forms(monkeypatch, S) == count
+        all_pairs()
+        assert _normal_forms(monkeypatch, S) == every_pair
 
 
 def _reference_quotient(ring, target, by):
