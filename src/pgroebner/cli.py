@@ -191,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # each cap only where it applies, so a cap given elsewhere is a usage error
     for sub in (gb, pb, lr):
-        sub.add_argument("--max-steps", type=int, help="completion pair-reduction cap")
+        sub.add_argument("--max-steps", type=int, help="cap on queued completion pairs")
     lr.add_argument("--max-enum", type=int, help="enumeration cap")
     return parser
 

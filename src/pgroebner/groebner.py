@@ -24,24 +24,26 @@ is complete.
 
 For r > 1 a popped pair (i, k) at X = x^A*e_P is skipped when some t at
 P has lt(g_t) dividing its lcm term (deg t <= A, ord t >= min(ord i,
-ord k)), the pairs (i, t) and (t, k) were popped, and so was the
-annihilator pair of each of i, k, t of degree A and ord < r.
-Sound: a popped pair was reduced or skipped, so it has a representation
-below its lcm, and pairs pop in ascending lcm monomial, so all pairs below
-X were popped.  As one element covers the lc ideal at any monomial over a
-chain ring, any vector with a representation below X then top-reduces to
-zero whatever reducer is picked.  With lcs normalized to p-powers, S(i, k)
-= p^a*x^b*S(i, t) + p^c*x^d*S(t, k) exactly, so its normal form is zero
-and skipping it changes nothing.  (The annihilator condition is stricter
-than this needs; it skips about a tenth fewer pairs.)
+ord k)) and the pairs (i, t) and (t, k) were popped: the chain criterion
+carried to chain rings (cf. Norton-Salagean, 2001).  Sound: a popped
+pair was reduced or skipped, so it has a representation below its lcm,
+and pairs pop in ascending lcm monomial, so every pair keyed below X,
+annihilator pairs included, was popped.  As one element covers the lc
+ideal at any monomial over a chain ring, any vector with a
+representation below X then top-reduces to zero whatever reducer is
+picked.  With lcs normalized to p-powers, S(i, k) = p^a*x^b*S(i, t) +
+p^c*x^d*S(t, k) exactly, and both pairs have lcms <= X, so S(i, k) has a
+representation strictly below X: no annihilator pair at X is needed, its
+normal form is zero and skipping it changes nothing.
 
 A leading term c*X is cancellable by a reducer g with lm(g) dividing X
 exactly when ord(g) >= ord(c), i.e. when c lies in the ideal generated by
 lc(g).  Reduction steps always cancel the whole leading term, so the
 leading monomial strictly decreases (asserted on every step).
 
-All computations are deterministic: pairs are processed smallest lcm
-monomial first with FIFO tie-breaks, reducers are chosen largest leading
+All computations are deterministic: pairs are processed in ascending
+(lcm monomial, newer index, older index), the annihilator pair of g_k
+counting as (lm(g_k), k, k), reducers are chosen largest leading
 monomial first with index tie-breaks, quotients use the canonical digit
 representative, and S-vectors are oriented newer-minus-older.  Finished
 bases are normalized so each leading coefficient is exactly p^(r-ord), and
@@ -56,9 +58,11 @@ degree and then by ascending index.  A reducer of x^alpha*e_pos must share
 its position and have degree <= alpha, and the scan keeps the first one of
 highest degree whose ord is high enough.  Walking the bucket from the first
 degree <= alpha and taking the first element with a high enough ord finds
-that same element, ties included.  Plain lists passed to `reduce_step`,
-`normal_form`, `is_groebner` or `module_equal` are still scanned, and the
-scan stays the reference the tests compare the index against.
+that same element, ties included.  The same walk lists the candidates t
+of the chain criterion, and the whole bucket lists a new element's
+pairs.  Plain lists passed to `reduce_step`, `normal_form`,
+`is_groebner` or `module_equal` are still scanned, and the scan stays
+the reference the tests compare the index against.
 """
 
 from __future__ import annotations
@@ -125,31 +129,34 @@ def _quotient(ring: Zpr, target: int, by: int) -> int:
 class _ReducerIndex(list):
     """The live basis of one completion, indexed by leading position.
 
-    A plain list to every reader; `append` also files the element in its
-    position's bucket, kept sorted by (-deg, index) under the one order
-    the index was made for.  Elements must only ever be appended.
+    The elements in the order they were appended; `append` also files each
+    in its position's bucket as (-deg, index, ord, element), kept sorted
+    under the one order the index was made for.  `pick` and `buchberger`'s
+    pair rules read the buckets.  Elements must only ever be appended.
     """
 
     def __init__(self, order: MonomialOrder) -> None:
         super().__init__()
         self.order = order
-        self._buckets: dict[int, list[tuple[int, int, int, PolyVec]]] = {}
+        self.buckets: dict[int, list[tuple[int, int, int, PolyVec]]] = {}
 
     def append(self, g: PolyVec) -> None:
         _, (alpha, pos), o = g.lead(self.order)
-        bisect.insort(self._buckets.setdefault(pos, []), (-alpha, len(self), o, g))
+        bisect.insort(self.buckets.setdefault(pos, []), (-alpha, len(self), o, g))
         super().append(g)
+
+    def divisors(self, mono: Monomial) -> list[tuple[int, int, int, PolyVec]]:
+        """The bucket entries whose lm divides mono, in bucket order."""
+        alpha, pos = mono
+        bucket = self.buckets.get(pos, [])
+        # (-alpha,) sorts before every entry of degree alpha: start there
+        return bucket[bisect.bisect_left(bucket, (-alpha,)) :]
 
     def pick(self, mono: Monomial, min_ord: int) -> PolyVec | None:
         """The element `_pick_reducer`'s scan would return, read from the buckets."""
-        alpha, pos = mono
-        bucket = self._buckets.get(pos)
-        if bucket:
-            # (-alpha,) sorts before every entry of degree alpha: start there
-            for k in range(bisect.bisect_left(bucket, (-alpha,)), len(bucket)):
-                entry = bucket[k]
-                if entry[2] >= min_ord:
-                    return entry[3]
+        for _, _, o, g in self.divisors(mono):
+            if o >= min_ord:
+                return g
         return None
 
 
@@ -385,38 +392,21 @@ def _one_pair(pairs: list[tuple[int, int]], alpha: int) -> list[tuple[int, int]]
 
 
 def _chain_criterion(
-    i: int,
-    k: int,
-    leads: list[tuple[int, int]],
-    same_pos: list[int],
-    done: set[tuple[int, int]],
-    ann_clear: set[int],
+    basis: _ReducerIndex, i: int, k: int, done: set[tuple[int, int]]
 ) -> bool:
-    """For r > 1, whether S(i, k) reduces to zero by the chain criterion.
+    """For r > 1, whether S(i, k), i < k, reduces to zero by the chain criterion.
 
-    leads holds (degree, ord) of each element, same_pos the elements at
-    the pair's position, done the popped S-pairs (older, newer), and
-    ann_clear the elements with no pending annihilator pair (see the
-    module docstring).  Tests replace this by `lambda *a: False`: the
-    all-pairs reference.
+    True when some t has lt(g_t) dividing the pair's lcm term and the
+    pairs (i, t) and (t, k) are in done, the popped S-pairs in both
+    orientations (so t is neither i nor k); see the module docstring.
+    Tests replace this by `lambda *a: False`: the all-pairs reference.
     """
-    alpha_i, ord_i = leads[i]
-    alpha_k, ord_k = leads[k]
-    alpha = max(alpha_i, alpha_k)
-    if (alpha_i == alpha and i not in ann_clear) or (alpha_k == alpha and k not in ann_clear):
-        return False
+    _, mi, ord_i = basis[i].lead(basis.order)
+    _, mk, ord_k = basis[k].lead(basis.order)
     min_ord = min(ord_i, ord_k)
-    for t in same_pos:
-        alpha_t, ord_t = leads[t]
-        if (
-            alpha_t <= alpha
-            and ord_t >= min_ord
-            and t != i
-            and t != k
-            and (min(i, t), max(i, t)) in done
-            and (min(t, k), max(t, k)) in done
-            and (alpha_t < alpha or t in ann_clear)
-        ):
+    # mi and mk share a position, so the larger is the lcm monomial
+    for _, t, ord_t, _ in basis.divisors(max(mi, mk)):
+        if ord_t >= min_ord and (i, t) in done and (t, k) in done:
             return True
     return False
 
@@ -442,54 +432,44 @@ def buchberger(
     ring, _ = _check_inputs(generators)
     field = ring.r == 1
     basis = _ReducerIndex(order)
-    leads: list[tuple[int, int]] = []  # (degree, ord) of each element
-    by_pos: dict[int, list[int]] = {}  # the elements at each leading position
-    heap: list[tuple[tuple[int, int], int, int, int]] = []
-    seq = itertools.count()
-    done: set[tuple[int, int]] = set()  # popped S-pairs, for r > 1
-    ann_clear: set[int] = set()  # elements with no pending annihilator pair
+    heap: list[tuple[tuple[int, int], int, int]] = []  # (lcm key, newer, older)
+    queued = itertools.count()
+    done: set[tuple[int, int]] = set()  # popped S-pairs both ways round, for r > 1
 
-    def push(mono: Monomial, i: int, j: int) -> None:
-        s = next(seq)
-        if s >= max_steps:  # this is pair s + 1, and it will be reduced
-            raise IterationLimitExceeded(f"exceeded {max_steps} pair reductions")
-        heapq.heappush(heap, (order.key(mono), s, i, j))
+    def push(mono: Monomial, k: int, i: int) -> None:
+        if next(queued) >= max_steps:  # this would be pair max_steps + 1
+            raise IterationLimitExceeded(f"exceeded {max_steps} queued pairs")
+        heapq.heappush(heap, (order.key(mono), k, i))
 
     def add_element(g: PolyVec) -> None:
         g = normalize_lc(g, order)
         k = len(basis)
-        basis.append(g)
         _, km, k_ord = g.lead(order)
-        leads.append((km.alpha, k_ord))
-        same_pos = by_pos.setdefault(km.pos, [])
-        pairs = [(i, leads[i][0]) for i in same_pos]
-        same_pos.append(k)
+        # (index, degree) of the earlier elements at k's position
+        pairs = [(i, -neg) for neg, i, _, _ in basis.buckets.get(km.pos, ())]
+        basis.append(g)
         if field and pairs:
-            pairs = _one_pair(pairs, km.alpha)
+            # by index, so that ties go to the first
+            pairs = _one_pair(sorted(pairs), km.alpha)
         for i, alpha in pairs:
-            push(Monomial(max(alpha, km.alpha), km.pos), i, k)
+            push(Monomial(max(alpha, km.alpha), km.pos), k, i)
         if k_ord < ring.r:
-            # annihilator pair, encoded with j == -1
-            push(km, k, -1)
-        else:
-            ann_clear.add(k)
+            push(km, k, k)  # annihilator pair
 
     for g in generators:
         add_element(g)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
-        if j == -1:
-            ann_clear.add(i)
-            vec = _annihilator_vector(basis[i], order)
+        _, k, i = heapq.heappop(heap)
+        if i == k:
+            vec = _annihilator_vector(basis[k], order)
         else:
             if not field:
-                same_pos = by_pos[basis[i].lead(order)[1].pos]
-                skip = _chain_criterion(i, j, leads, same_pos, done, ann_clear)
-                done.add((i, j))
+                skip = _chain_criterion(basis, i, k, done)
+                done.update(((i, k), (k, i)))
                 if skip:
                     continue
-            vec = _s_vector(basis[i], basis[j], order)
+            vec = _s_vector(basis[i], basis[k], order)
         if vec.is_zero():
             continue
         h = normal_form(vec, basis, order)

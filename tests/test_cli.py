@@ -103,7 +103,7 @@ class TestGb:
         path.write_text("".join(f"[x^{k % 97}+{k}]\n" for k in range(1, 4001)))
         code, _, err = run(capsys, ["gb", "--ring", "256", "--max-steps", "100", str(path)])
         assert code == 3
-        assert "exceeded 100 pair reductions" in err
+        assert "exceeded 100 queued pairs" in err
 
     def test_cap_env_override(self, capsys, gen_file, monkeypatch):
         monkeypatch.setenv("PGROEBNER_MAX_STEPS", "1")

@@ -327,7 +327,11 @@ class TestReducerIndex:
             return out
 
         indexed = docs()
-        monkeypatch.setattr(groebner, "_ReducerIndex", lambda order: [])
+        monkeypatch.setattr(
+            groebner._ReducerIndex,
+            "pick",
+            lambda self, mono, min_ord: _pick_reducer(mono, min_ord, list(self), self.order),
+        )
         assert docs() == indexed
 
 
@@ -337,13 +341,14 @@ def _baseline_sequence(ring, n):
     return SequenceInput(ring, tuple(rng.randrange(ring.modulus) for _ in range(n)))
 
 
-def _normal_forms(monkeypatch, S):
-    """The number of pair reductions `shortest_lrr(S)` runs."""
-    calls = []
-    nf = groebner.normal_form
-    monkeypatch.setattr(groebner, "normal_form", lambda *a: (calls.append(a), nf(*a))[1])
+def _pair_counts(monkeypatch, S):
+    """The pairs `shortest_lrr(S)` queues and the pair reductions it runs."""
+    queued, reduced = [], []
+    push, nf = groebner.heapq.heappush, groebner.normal_form
+    monkeypatch.setattr(groebner.heapq, "heappush", lambda h, x: (queued.append(x), push(h, x)))
+    monkeypatch.setattr(groebner, "normal_form", lambda *a: (reduced.append(a), nf(*a))[1])
     shortest_lrr(S)
-    return len(calls)
+    return len(queued), len(reduced)
 
 
 def _documents(modules, sequences, check):
@@ -391,7 +396,7 @@ class TestFieldPairs:
 
     @pytest.mark.parametrize("p, n", [(2, 32), (2, 64), (2, 128), (2, 256), (65521, 32), (65521, 64)])
     def test_field_completion_reduces_at_most_n_pairs(self, monkeypatch, p, n):
-        assert _normal_forms(monkeypatch, _baseline_sequence(Zpr(p, 1), n)) <= n
+        assert _pair_counts(monkeypatch, _baseline_sequence(Zpr(p, 1), n))[1] <= n
 
 
 class TestChainPairs:
@@ -430,38 +435,34 @@ class TestChainPairs:
 
     def test_every_skipped_pair_reduces_to_zero(self, monkeypatch):
         # the S-vector of each skipped pair, reduced against the live basis
-        live, skipped = [], []
-        index, criterion = groebner._ReducerIndex, groebner._chain_criterion
+        skipped = []
+        criterion = groebner._chain_criterion
 
-        def recorded_index(order):
-            live.append(index(order))
-            return live[-1]
-
-        def audited(i, k, *rest):
-            skip = criterion(i, k, *rest)
+        def audited(basis, i, k, done):
+            skip = criterion(basis, i, k, done)
             if skip:
-                basis = live[-1]
                 vec = groebner._s_vector(basis[i], basis[k], basis.order)
                 assert normal_form(vec, basis, basis.order).is_zero()
                 skipped.append((i, k))
             return skip
 
-        monkeypatch.setattr(groebner, "_ReducerIndex", recorded_index)
         monkeypatch.setattr(groebner, "_chain_criterion", audited)
         _documents(*self._inputs(), check=False)
         assert len(skipped) > 1000
 
     @pytest.mark.parametrize(
-        "p, r, n, count, every_pair",
-        [(2, 8, 16, 216, 616), (3, 4, 32, 155, 930), (2, 8, 32, 872, 3257)],
+        "p, r, n, queued, count, every_pair",
+        [(2, 8, 16, 741, 108, 616), (3, 4, 32, 1031, 47, 930), (2, 8, 32, 3648, 106, 3257)],
+        ids=["Z256-n16", "Z81-n32", "Z256-n32"],
     )
     def test_chain_ring_completion_skips_chain_pairs(
-        self, monkeypatch, all_pairs, p, r, n, count, every_pair
+        self, monkeypatch, all_pairs, p, r, n, queued, count, every_pair
     ):
+        # skipping a pair queues no other: the queue is the same either way
         S = _baseline_sequence(Zpr(p, r), n)
-        assert _normal_forms(monkeypatch, S) == count
+        assert _pair_counts(monkeypatch, S) == (queued, count)
         all_pairs()
-        assert _normal_forms(monkeypatch, S) == every_pair
+        assert _pair_counts(monkeypatch, S) == (queued, every_pair)
 
 
 def _reference_quotient(ring, target, by):
