@@ -9,32 +9,22 @@ classic completion loop is extended in two ways:
 * every element g whose leading coefficient is a zero divisor contributes
   an annihilator pair p^ord(g) * g, which must also reduce to zero.
 
-For r > 1 every two elements of one leading position form a pair.  Over a
-field (r = 1) a new element k forms one, with the earlier element j of its
-position that minimizes max(a_j, a_k), first index on ties (a_i is the
-degree of lm(g_i)): Gebauer-Moeller's chain criterion (JSC 1988).  Sound:
-per position the pairs form a tree, and by induction on k every node on
-the path between i < k has degree <= max(a_i, a_k), since the path leaves
-k through j and a_j <= max(a_i, a_k) as i was a candidate.  With unit
-leading coefficients S(i, k) is the sum of the path's S-pairs shifted up
-to lcm(i, k), and each was reduced to zero, so S(i, k) has a
-representation below lcm(i, k).  The output is the unique reduced basis
-whatever the pairs, as every lc is a unit and the tail cancellation below
-is complete.
-
-For r > 1 a popped pair (i, k) at X = x^A*e_P is skipped when some t at
-P has lt(g_t) dividing its lcm term (deg t <= A, ord t >= min(ord i,
-ord k)) and the pairs (i, t) and (t, k) were popped: the chain criterion
-carried to chain rings (cf. Norton-Salagean, 2001).  Sound: a popped
-pair was reduced or skipped, so it has a representation below its lcm,
-and pairs pop in ascending lcm monomial, so every pair keyed below X,
-annihilator pairs included, was popped.  As one element covers the lc
-ideal at any monomial over a chain ring, any vector with a
-representation below X then top-reduces to zero whatever reducer is
-picked.  With lcs normalized to p-powers, S(i, k) = p^a*x^b*S(i, t) +
-p^c*x^d*S(t, k) exactly, and both pairs have lcms <= X, so S(i, k) has a
-representation strictly below X: no annihilator pair at X is needed, its
-normal form is zero and skipping it changes nothing.
+When an element k is added, its pairs with the earlier elements of its
+position are walked in the order they pop, ascending (lcm degree, index),
+keeping best, the highest ord walked so far (0 at the start); (i, k) is
+queued only if best < min(ord i, ord k).  Over a field every ord is 1, so k
+forms one pair, with the earlier element i that minimizes max(a_i, a_k),
+first index on ties (a_i is the degree of lm(g_i)): Gebauer-Moeller's
+chain criterion (JSC 1988).  For r > 1 the ords of the queued pairs' older
+elements strictly rise, so k queues at most r S-pairs: the criterion
+carried to chain rings (cf. Norton-Salagean, 2001).  Sound: a dropped pair
+(i, k) at X = x^A*e_P has an element t walked before i with ord t >=
+min(ord i, ord k) and deg t <= A.  With lcs normalized to p-powers, S(i,
+k) = p^a*x^b*S(i, t) + p^c*x^d*S(t, k) exactly, and both pairs are keyed
+below (i, k): (t, k) was walked first, and (i, t) has an lcm <= X and a
+newer index below k.  By induction on the key every pair, dropped or not,
+annihilator pairs included, then has a representation strictly below its
+lcm, which is Buchberger's criterion over a chain ring.
 
 A leading term c*X is cancellable by a reducer g with lm(g) dividing X
 exactly when ord(g) >= ord(c), i.e. when c lies in the ideal generated by
@@ -58,9 +48,8 @@ degree and then by ascending index.  A reducer of x^alpha*e_pos must share
 its position and have degree <= alpha, and the scan keeps the first one of
 highest degree whose ord is high enough.  Walking the bucket from the first
 degree <= alpha and taking the first element with a high enough ord finds
-that same element, ties included.  The same walk lists the candidates t
-of the chain criterion, and the whole bucket lists a new element's
-pairs.  Plain lists passed to `reduce_step`, `normal_form`,
+that same element, ties included.  The whole bucket lists a new
+element's pairs.  Plain lists passed to `reduce_step`, `normal_form`,
 `is_groebner` or `module_equal` are still scanned, and the scan stays
 the reference the tests compare the index against.
 """
@@ -132,7 +121,7 @@ class _ReducerIndex(list):
     The elements in the order they were appended; `append` also files each
     in its position's bucket as (-deg, index, ord, element), kept sorted
     under the one order the index was made for.  `pick` and `buchberger`'s
-    pair rules read the buckets.  Elements must only ever be appended.
+    `add_element` read the buckets.  Elements must only ever be appended.
     """
 
     def __init__(self, order: MonomialOrder) -> None:
@@ -145,16 +134,12 @@ class _ReducerIndex(list):
         bisect.insort(self.buckets.setdefault(pos, []), (-alpha, len(self), o, g))
         super().append(g)
 
-    def divisors(self, mono: Monomial) -> list[tuple[int, int, int, PolyVec]]:
-        """The bucket entries whose lm divides mono, in bucket order."""
+    def pick(self, mono: Monomial, min_ord: int) -> PolyVec | None:
+        """The element `_pick_reducer`'s scan would return, read from the buckets."""
         alpha, pos = mono
         bucket = self.buckets.get(pos, [])
         # (-alpha,) sorts before every entry of degree alpha: start there
-        return bucket[bisect.bisect_left(bucket, (-alpha,)) :]
-
-    def pick(self, mono: Monomial, min_ord: int) -> PolyVec | None:
-        """The element `_pick_reducer`'s scan would return, read from the buckets."""
-        for _, _, o, g in self.divisors(mono):
+        for _, _, o, g in bucket[bisect.bisect_left(bucket, (-alpha,)) :]:
             if o >= min_ord:
                 return g
         return None
@@ -382,33 +367,13 @@ def _check_inputs(generators: list[PolyVec]) -> tuple[Zpr, int]:
     return ring, q
 
 
-def _one_pair(pairs: list[tuple[int, int]], alpha: int) -> list[tuple[int, int]]:
-    """Over a field, the one S-pair of a new element of degree alpha.
+def _keep_pair(best: int, ord_i: int, ord_k: int) -> bool:
+    """Whether a new element k queues its pair with i, best being the highest
+    ord of the elements walked before i (see the module docstring).
 
-    pairs holds (index, degree) of the earlier elements at its position.
-    Tests replace this by the identity: the all-pairs reference.
+    Tests replace this by `lambda *a: True`: the all-pairs reference.
     """
-    return [min(pairs, key=lambda e: max(e[1], alpha))]
-
-
-def _chain_criterion(
-    basis: _ReducerIndex, i: int, k: int, done: set[tuple[int, int]]
-) -> bool:
-    """For r > 1, whether S(i, k), i < k, reduces to zero by the chain criterion.
-
-    True when some t has lt(g_t) dividing the pair's lcm term and the
-    pairs (i, t) and (t, k) are in done, the popped S-pairs in both
-    orientations (so t is neither i nor k); see the module docstring.
-    Tests replace this by `lambda *a: False`: the all-pairs reference.
-    """
-    _, mi, ord_i = basis[i].lead(basis.order)
-    _, mk, ord_k = basis[k].lead(basis.order)
-    min_ord = min(ord_i, ord_k)
-    # mi and mk share a position, so the larger is the lcm monomial
-    for _, t, ord_t, _ in basis.divisors(max(mi, mk)):
-        if ord_t >= min_ord and (i, t) in done and (t, k) in done:
-            return True
-    return False
+    return best < min(ord_i, ord_k)
 
 
 def buchberger(
@@ -420,21 +385,19 @@ def buchberger(
 
     Completion processes S-pairs for equal leading positions and
     annihilator pairs for zero-divisor leading coefficients until every
-    pair reduces to zero, then minimalizes.  Over a field each new element
-    forms one S-pair; for r > 1 a pair the chain criterion proves zero is
-    skipped when popped (see the module docstring).  Deterministic:
-    identical inputs yield identical bases.  max_steps caps the number of
-    queued pairs, skipped ones included: the cap raises
-    IterationLimitExceeded as soon as more pairs are queued than it
-    allows, without reducing the queued ones first.  Reaching it indicates
-    an input too large for the cap rather than expected behavior.
+    pair reduces to zero, then minimalizes.  A new element queues only the
+    S-pairs the chain criterion does not prove zero, at most r of them
+    (see the module docstring).  Deterministic: identical inputs yield
+    identical bases.  max_steps caps the number of queued pairs, at most
+    r + 1 per added element: the cap raises IterationLimitExceeded as soon
+    as more pairs are queued than it allows, without reducing the queued
+    ones first.  Reaching it indicates an input too large for the cap
+    rather than expected behavior.
     """
     ring, _ = _check_inputs(generators)
-    field = ring.r == 1
     basis = _ReducerIndex(order)
     heap: list[tuple[tuple[int, int], int, int]] = []  # (lcm key, newer, older)
     queued = itertools.count()
-    done: set[tuple[int, int]] = set()  # popped S-pairs both ways round, for r > 1
 
     def push(mono: Monomial, k: int, i: int) -> None:
         if next(queued) >= max_steps:  # this would be pair max_steps + 1
@@ -445,14 +408,15 @@ def buchberger(
         g = normalize_lc(g, order)
         k = len(basis)
         _, km, k_ord = g.lead(order)
-        # (index, degree) of the earlier elements at k's position
-        pairs = [(i, -neg) for neg, i, _, _ in basis.buckets.get(km.pos, ())]
+        # k's pairs in the order they pop: ascending (lcm degree, index)
+        bucket = basis.buckets.get(km.pos, ())
+        walk = sorted([(max(-neg, km.alpha), i, o) for neg, i, o, _ in bucket])
         basis.append(g)
-        if field and pairs:
-            # by index, so that ties go to the first
-            pairs = _one_pair(sorted(pairs), km.alpha)
-        for i, alpha in pairs:
-            push(Monomial(max(alpha, km.alpha), km.pos), k, i)
+        best = 0  # the highest ord walked so far
+        for lcm, i, o in walk:
+            if _keep_pair(best, o, k_ord):
+                push(Monomial(lcm, km.pos), k, i)
+            best = max(best, o)
         if k_ord < ring.r:
             push(km, k, k)  # annihilator pair
 
@@ -464,11 +428,6 @@ def buchberger(
         if i == k:
             vec = _annihilator_vector(basis[k], order)
         else:
-            if not field:
-                skip = _chain_criterion(basis, i, k, done)
-                done.update(((i, k), (k, i)))
-                if skip:
-                    continue
             vec = _s_vector(basis[i], basis[k], order)
         if vec.is_zero():
             continue

@@ -59,12 +59,11 @@ def z9():
 
 @pytest.fixture
 def all_pairs(monkeypatch):
-    """Call it to make `buchberger` reduce every queued pair: the reference
-    for its pair criteria, `_one_pair` over fields and `_chain_criterion` for r > 1."""
+    """Call it to make `buchberger` queue every pair: the reference for its
+    insertion-time pair rule, `_keep_pair`."""
 
     def switch_on():
-        monkeypatch.setattr(groebner, "_one_pair", lambda pairs, alpha: pairs)
-        monkeypatch.setattr(groebner, "_chain_criterion", lambda *a: False)
+        monkeypatch.setattr(groebner, "_keep_pair", lambda *a: True)
 
     return switch_on
 

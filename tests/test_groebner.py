@@ -1,6 +1,7 @@
 """Tests for reduction, completion, minimalization, and the PLM check."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -227,8 +228,8 @@ class TestBuchberger:
             buchberger(z9a_generators(), TOP, max_steps=1)
 
     def test_iteration_cap_fires_once_too_many_pairs_are_queued(self, monkeypatch):
-        # every two one-position rows make a pair, so 4000 rows would queue
-        # about 8 million pairs; the cap must not wait for them
+        # a row queues at most r + 1 pairs; these 4000 rows queue 4040 before
+        # any is reduced, and the cap must not wait for them
         gens = [vec(Zpr(2, 8), f"[x^{k % 97}+{k}]") for k in range(1, 4001)]
         queued, reduced = [], []
         push, nf = groebner.heapq.heappush, groebner.normal_form
@@ -351,6 +352,53 @@ def _pair_counts(monkeypatch, S):
     return len(queued), len(reduced)
 
 
+class _PairLog:
+    """The pairs `buchberger` pushes and pops, each as (completion, newer, older).
+
+    Completions are told apart by their heap, which the log keeps alive, so
+    a later completion's heap cannot take over its id.
+    """
+
+    def __init__(self, monkeypatch):
+        self.heap, self.completion = None, 0
+        self.pushed, self.popped = [], []
+        push, pop = groebner.heapq.heappush, groebner.heapq.heappop
+
+        def logged_push(h, x):
+            self.pushed.append(self._pair(h, x))
+            push(h, x)
+
+        def logged_pop(h):
+            x = pop(h)
+            self.popped.append(self._pair(h, x))
+            return x
+
+        monkeypatch.setattr(groebner.heapq, "heappush", logged_push)
+        monkeypatch.setattr(groebner.heapq, "heappop", logged_pop)
+
+    def _pair(self, heap, entry):
+        if heap is not self.heap:
+            self.heap, self.completion = heap, self.completion + 1
+        return self.completion, entry[1], entry[2]
+
+
+def _most_s_pairs_per_element(monkeypatch, modules, sequences):
+    """The most S-pairs one added element queues; asserts that none queues
+    more than r S-pairs or more than one annihilator pair."""
+    log = _PairLog(monkeypatch)
+    runs = [(gens[0].ring, buchberger, (gens, order)) for gens, order in modules]
+    runs += [(S.ring, shortest_lrr, (S,)) for S in sequences]
+    most = 0
+    for ring, fn, args in runs:
+        log.pushed.clear()
+        fn(*args)
+        per_element = Counter((c, k, i == k) for c, k, i in log.pushed)
+        for (_, k, annihilator), count in per_element.items():
+            assert count <= (1 if annihilator else ring.r), (ring, args, k)
+            most = max(most, 0 if annihilator else count)
+    return most
+
+
 def _documents(modules, sequences, check):
     """The gb and p-basis documents of the modules, then the lrr documents of the sequences."""
     out = []
@@ -373,11 +421,13 @@ class TestFieldPairs:
 
     FIELDS = (Zpr(2, 1), Zpr(3, 1), Zpr(7, 1), Zpr(65521, 1))
 
-    def test_one_pair_per_element_equals_all_pairs(self, all_pairs):
+    @classmethod
+    def _inputs(cls):
+        """Seeded q = 1..4 modules under TOP and POT, and sequences up to n = 64."""
         rng = random.Random(64)
         modules, sequences = [], []
         for k in range(96):
-            ring, q = self.FIELDS[k % 4], 1 + k // 4 % 4
+            ring, q = cls.FIELDS[k % 4], 1 + k // 4 % 4
             gens = [
                 PolyVec(ring, q, {
                     Monomial(rng.randrange(7), rng.randrange(1, q + 1)): rng.randrange(1, ring.modulus)
@@ -386,13 +436,19 @@ class TestFieldPairs:
                 for _ in range(rng.randrange(1, 5))
             ]
             modules += [(gens, order) for order in (TOP, POT)]
-        for ring in self.FIELDS:
+        for ring in cls.FIELDS:
             for n in (1, 2, 5, 16, 33, 64):
                 sequences.append(SequenceInput(ring, tuple(rng.randrange(ring.modulus) for _ in range(n))))
+        return modules, sequences
 
+    def test_one_pair_per_element_equals_all_pairs(self, all_pairs):
+        modules, sequences = self._inputs()
         one_pair = _documents(modules, sequences, check=True)
         all_pairs()
         assert _documents(modules, sequences, check=False) == one_pair
+
+    def test_an_element_queues_at_most_one_s_pair(self, monkeypatch):
+        assert _most_s_pairs_per_element(monkeypatch, *self._inputs()) == 1
 
     @pytest.mark.parametrize("p, n", [(2, 32), (2, 64), (2, 128), (2, 256), (65521, 32), (65521, 64)])
     def test_field_completion_reduces_at_most_n_pairs(self, monkeypatch, p, n):
@@ -400,7 +456,7 @@ class TestFieldPairs:
 
 
 class TestChainPairs:
-    """For r > 1 the chain criterion skips pairs; all pairs stay the reference."""
+    """For r > 1 the chain criterion drops pairs as they are queued; all pairs stay the reference."""
 
     RINGS = (Zpr(2, 2), Zpr(2, 3), Zpr(3, 2), Zpr(3, 3), Zpr(3, 4), Zpr(2, 8))
 
@@ -433,36 +489,55 @@ class TestChainPairs:
         all_pairs()
         assert _documents(modules, sequences, check=False) == skipping
 
-    def test_every_skipped_pair_reduces_to_zero(self, monkeypatch):
-        # the S-vector of each skipped pair, reduced against the live basis
-        skipped = []
-        criterion = groebner._chain_criterion
+    def test_every_dropped_pair_reduces_to_zero_where_all_pairs_pops_it(self, monkeypatch, all_pairs):
+        # every pair is queued, and the pairs the rule would drop are recorded:
+        # each S-pair push follows one call of the rule, in the same order
+        log = _PairLog(monkeypatch)
+        rule, verdicts, zero = groebner._keep_pair, [], {}
+        all_pairs()
+        monkeypatch.setattr(groebner, "_keep_pair", lambda *a: verdicts.append(rule(*a)) or True)
+        nf = groebner.normal_form
 
-        def audited(basis, i, k, done):
-            skip = criterion(basis, i, k, done)
-            if skip:
-                vec = groebner._s_vector(basis[i], basis[k], basis.order)
-                assert normal_form(vec, basis, basis.order).is_zero()
-                skipped.append((i, k))
-            return skip
+        def audited(vec, F, order):
+            h = nf(vec, F, order)
+            if type(F) is _ReducerIndex:  # buchberger reduces the pair it popped last
+                zero[log.popped[-1]] = h.is_zero()
+            return h
 
-        monkeypatch.setattr(groebner, "_chain_criterion", audited)
+        monkeypatch.setattr(groebner, "normal_form", audited)
         _documents(*self._inputs(), check=False)
-        assert len(skipped) > 1000
+        s_pairs = [pair for pair in log.pushed if pair[1] != pair[2]]
+        assert len(s_pairs) == len(verdicts)
+        dropped = {pair for pair, kept in zip(s_pairs, verdicts) if not kept}
+        assert dropped <= set(log.popped)
+        # a pair whose S-vector is zero is never reduced
+        assert all(zero.get(pair, True) for pair in dropped)
+        assert len(dropped) > 1000
+
+    def test_an_element_queues_at_most_r_s_pairs(self, monkeypatch):
+        assert _most_s_pairs_per_element(monkeypatch, *self._inputs()) > 1
+
+    def test_z256_n256_completes_under_a_small_cap(self):
+        # it queues 2279 pairs; queuing every pair of a position took 89234
+        shortest_lrr(_baseline_sequence(Zpr(2, 8), 256), max_steps=10_000)
 
     @pytest.mark.parametrize(
-        "p, r, n, queued, count, every_pair",
-        [(2, 8, 16, 741, 108, 616), (3, 4, 32, 1031, 47, 930), (2, 8, 32, 3648, 106, 3257)],
+        "p, r, n, queued, count, all_queued, all_count",
+        [
+            (2, 8, 16, 233, 108, 741, 616),
+            (3, 4, 32, 148, 47, 1031, 930),
+            (2, 8, 32, 497, 106, 3648, 3257),
+        ],
         ids=["Z256-n16", "Z81-n32", "Z256-n32"],
     )
     def test_chain_ring_completion_skips_chain_pairs(
-        self, monkeypatch, all_pairs, p, r, n, queued, count, every_pair
+        self, monkeypatch, all_pairs, p, r, n, queued, count, all_queued, all_count
     ):
-        # skipping a pair queues no other: the queue is the same either way
+        # the rule drops pairs before they are queued, so the reference queues more
         S = _baseline_sequence(Zpr(p, r), n)
         assert _pair_counts(monkeypatch, S) == (queued, count)
         all_pairs()
-        assert _pair_counts(monkeypatch, S) == (queued, every_pair)
+        assert _pair_counts(monkeypatch, S) == (all_queued, all_count)
 
 
 def _reference_quotient(ring, target, by):
