@@ -416,6 +416,8 @@ def buchberger(
         for lcm, i, o in walk:
             if _keep_pair(best, o, k_ord):
                 push(Monomial(lcm, km.pos), k, i)
+            elif best >= k_ord:  # no later pair can be kept
+                break
             best = max(best, o)
         if k_ord < ring.r:
             push(km, k, k)  # annihilator pair

@@ -64,8 +64,7 @@ class LrrSolution:
     interpolation module (so deg h <= deg shortest).  param_basis holds
     (d_i, degree budget) for the p-basis vectors after the pivot; together
     with a nonzero pivot digit they generate every shortest recurrence.
-    pivot_digit_range is range(1, p), the nonzero digits, held as a range
-    object: as a tuple it would take 2.6 MB at p = 65521.
+    pivot_digit_range is range(1, p), the nonzero digits.
     """
 
     ring: Zpr

@@ -37,9 +37,9 @@ from .polyvec import (
 )
 from .ring import Zpr
 
-# Long lists (65520 pivot digits at p = 65521, up to 65536 `monic:` lines)
-# are rendered and joined this many items at a time: a string per item for
-# all of them at once would take several times the finished text's memory.
+# Long lists (up to 65536 `monic:` lines) are rendered and joined this many
+# items at a time: a string per item for all of them at once would take
+# several times the finished text's memory.
 JOIN_CHUNK = 1024
 
 
@@ -48,6 +48,22 @@ def _join(sep: str, items, fmt=str) -> str:
     return sep.join(
         sep.join(map(fmt, items[k:k + JOIN_CHUNK])) for k in range(0, len(items), JOIN_CHUNK)
     )
+
+
+_HUNDRED = ",".join(f"#{d:02d}" for d in range(100))  # "#00,#01,...,#99"
+
+
+def _nonzero_digits(p: int) -> str:
+    """",".join(map(str, range(1, p))), built a hundred numbers at a time.
+
+    Each full hundred 100k..100k+99 is one replace of "#" by str(k) in
+    _HUNDRED: at p = 65521 that is about ten times faster than formatting
+    the numbers one by one.
+    """
+    head = ",".join(map(str, range(1, min(p, 100))))
+    hundreds = [_HUNDRED.replace("#", str(k)) for k in range(1, p // 100)]
+    tail = ",".join(map(str, range(max(p // 100 * 100, 100), p)))
+    return ",".join(filter(None, [head, *hundreds, tail]))
 
 
 def format_monomial(m: Monomial) -> str:
@@ -199,7 +215,7 @@ def render_lrr_doc(doc: LrrDoc) -> str:
         f"length: {doc.length}",
         f"companion: {format_poly(doc.companion)}",
         f"pivot: {doc.pivot_index + 1}",
-        f"pivot-digits: {_join(',', range(1, ring.p))}",
+        f"pivot-digits: {_nonzero_digits(ring.p)}",
     ]
     for d, budget in doc.params:
         lines.append(f"param: {format_poly(d)} budget={budget}")
@@ -302,11 +318,10 @@ def render_p_basis_human(basis: PBasis) -> str:
 
 def parametrization_template(sol: LrrSolution) -> list[str]:
     ring = sol.ring
-    digit_set = "{" + ",".join(str(d) for d in range(ring.p)) + "}"
+    nonzero = _nonzero_digits(ring.p)
+    digit_set = "{0," + nonzero + "}"
     pieces = [f"q0*({format_poly(sol.shortest)})"]
-    constraints = [
-        f"q0: nonzero digit in {{{_join(',', sol.pivot_digit_range)}}}"
-    ]
+    constraints = [f"q0: nonzero digit in {{{nonzero}}}"]
     for i, (d, budget) in enumerate(sol.param_basis, start=1):
         pieces.append(f"q{i}*({format_poly(d)})")
         constraints.append(

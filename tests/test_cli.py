@@ -12,12 +12,14 @@ from pgroebner.cli import main
 from pgroebner.reports import (
     JOIN_CHUNK,
     _join,
+    _nonzero_digits,
     lrr_doc,
     parse_gb_doc,
     parse_lrr_doc,
     parse_p_basis_doc,
     render_gb_doc,
     render_lrr_doc,
+    render_lrr_human,
     render_p_basis_doc,
 )
 from conftest import GB_Z9A_TOP, GEN_Z9A
@@ -240,9 +242,16 @@ class TestLrrCommand:
         )
         assert code == 0
         assert "\nmonic-count: 1\nmonic: x^2+65520x+65520\n" in out
-        # the pivot digits are held as range(1, p) and rendered in chunks
+        # the pivot digits are every nonzero digit 1..p-1
         assert f"\npivot-digits: {','.join(map(str, range(1, 65521)))}\n" in out
         assert render_lrr_doc(parse_lrr_doc(out)) == out
+
+    def test_large_prime_human(self):
+        sol = pgroebner.shortest_lrr(pgroebner.SequenceInput(pgroebner.Zpr(65521, 1), (1, 2, 3)))
+        out = render_lrr_human(sol, None)
+        assert f"\n  q0: nonzero digit in {{{','.join(map(str, range(1, 65521)))}}}\n" in out
+        digit_set = ",".join(map(str, range(65521)))
+        assert f"\n  q1: polynomial with coefficients in {{{digit_set}}}, deg <= 0\n" in out
 
     def test_parsed_doc_equals_built_doc(self):
         for p, r, seq in ((3, 2, (1, 4, 4, 7, 7)), (65521, 1, (1, 2, 3, 5, 8, 13, 21))):
@@ -258,6 +267,10 @@ class TestLrrCommand:
                 assert _join("\n", items, lambda v: f"monic: {v}") == "\n".join(
                     f"monic: {v}" for v in items
                 )
+
+    def test_hundred_block_digits_equal_plain_join(self):
+        for p in [*range(2, 1201), 9973, 10007, 65521]:
+            assert _nonzero_digits(p) == ",".join(map(str, range(1, p))), p
 
     def test_structured_round_trip(self, capsys):
         code, out, _ = run(
