@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
+from struct import Struct
 
 from .errors import EnumerationTooLarge, PivotNotUnique, ZeroVector
 from .groebner import DEFAULT_MAX_STEPS, buchberger
@@ -82,17 +84,9 @@ def is_lrr(f: Poly, S: SequenceInput) -> bool:
     """True when f has unit leading coefficient and annihilates the sequence."""
     if f.is_zero():
         raise ZeroVector("the zero polynomial is not a recurrence")
-    ring, vals = S.ring, S.values
-    if not ring.is_unit(f.lead_coeff):
-        return False
-    L = f.degree
-    for j in range(S.n - L):
-        acc = 0
-        for k in range(L + 1):
-            acc += f.coeff(k) * vals[j + k]
-        if acc % ring.modulus:
-            return False
-    return True
+    ring, vals, L = S.ring, S.values, f.degree
+    return ring.is_unit(f.lead_coeff) and not any(
+        sum(map(mul, f.coeffs, vals[j:j + L + 1])) % ring.modulus for j in range(S.n - L))
 
 
 def build_module(S: SequenceInput) -> tuple[PolyVec, PolyVec]:
@@ -144,20 +138,24 @@ def shortest_lrr(S: SequenceInput, max_steps: int = DEFAULT_MAX_STEPS) -> LrrSol
     )
 
 
-def _add_params(stage: set, params: list, p: int, m: int, width: int) -> set:
-    """Sum onto stage the digit span {sum_s theta_s x^s d} of each (d, budget)."""
+def _add_params(stage: set, params: list, p: int, m: int, packing: tuple) -> set:
+    """Sum onto stage the digit span {sum_s theta_s x^s d} of each (d, budget), packed."""
+    W, ones, K, vec = packing
+    top, width = W - 1, vec.size * 8 // W  # K sets bit `top` of a slot that reached m
     for d, budget in params:
-        # a single stage tuple seeds the span, which is then already the
-        # sum: the set of the full size is built once, not twice
+        # a single stage vector seeds the span, so the full-size set is built once
         single = len(stage) == 1
-        span = stage if single else {(0,) * width}
+        span = stage if single else {0}
+        step = int.from_bytes(vec.pack(*d.coeffs, *(0,) * (width - d.degree - 1)), "big")
+        multiples = [0]  # t * d for the digits t; x^s t d is it shifted s slots down
+        for _ in range(p - 1):
+            u = multiples[-1] + step
+            multiples.append(u - ((u + K) >> top & ones) * m)
         for s in range(budget + 1):
-            copy = (0,) * s + d.coeffs + (0,) * (width - d.degree - 1 - s)
-            span = {tuple([(a + t * c) % m for a, c in zip(f, copy)])
-                    for f in span for t in range(p)}
-        # tuple([...]) builds faster than tuple(generator) on this hot path
-        stage = span if single else {tuple([(a + b) % m for a, b in zip(f, g)])
-                                     for f in stage for g in span}
+            span = {u - ((u + K) >> top & ones) * m
+                    for a in span for b in multiples for u in (a + (b >> W * s),)}
+        stage = span if single else {u - ((u + K) >> top & ones) * m
+                                     for a in stage for b in span for u in (a + b,)}
     return stage
 
 
@@ -168,38 +166,48 @@ def enumerate_shortest(
 
     With monic_only, keeps exactly the digit choices whose combination has
     leading coefficient 1.  Only parameters with deg d_i + budget_i == L
-    reach x^L, so every leading coefficient is final once they are added,
-    and the monic filter runs before the other parameters multiply the set.
-    Those parameters have non-unit leading coefficients, so they add a
-    multiple of p at x^L, and q * d + ... has f_L = q (mod p): a monic
-    result needs the pivot digit q = 1, and monic mode visits only the
-    p^slots tuples with q = 1.  The cap still counts all (p-1) * p^slots parameter tuples, so
-    both modes accept and refuse the same solutions.  Distinct digit
-    tuples can collide after reduction mod p^r, so results are
-    deduplicated and sorted by ascending coefficient tuples.
+    reach x^L; their leading coefficients are not units, so they add a
+    multiple of p there, and q * d + ... has f_L = q (mod p).  Monic mode
+    thus starts from the pivot digit q = 1 alone and filters once those
+    parameters are added, before the others multiply the set.  The cap
+    counts all (p-1) * p^slots parameter tuples in both modes.  Distinct
+    digit tuples can collide mod p^r, so results are deduplicated and
+    sorted by ascending coefficient tuples.
+
+    Sums run on packed vectors: (c_0, ..., c_L) is one int, c_0 in the top
+    of L+1 slots of W bits, W the least of 8, 16, 32, 64 with 2m <= 2^W.
+    Reduced slots are below m = p^r, so a slotwise sum is below 2m and never
+    carries; adding K = 2^(W-1) - m to each slot sets its top bit exactly
+    when it reached m, and m is subtracted there.  Int order is tuple order.
     """
-    p, m, L = sol.ring.p, sol.ring.modulus, sol.length
+    ring, p, m, L = sol.ring, sol.ring.p, sol.ring.modulus, sol.length
     active = [(d, budget) for d, budget in sol.param_basis if not d.is_zero()]
-    slots = sum(budget + 1 for _, budget in active)
-    total = (p - 1) * p**slots
+    total = (p - 1) * p ** sum(budget + 1 for _, budget in active)
     if total > cap:
         raise EnumerationTooLarge(f"{total} parameter tuples exceed cap {cap}")
     assert all(d.degree + budget <= L for d, budget in active)
     top = [(d, budget) for d, budget in active if d.degree + budget == L]
     rest = [(d, budget) for d, budget in active if d.degree + budget < L]
+    W = max(8, 1 << ((2 * m - 1).bit_length() - 1).bit_length())  # 8, 16, 32 or 64
+    ones = ((1 << W * (L + 1)) - 1) // ((1 << W) - 1)
+    vec = Struct(">" + "BHIQ"[W.bit_length() - 4] * (L + 1))
+    packing = W, ones, ((1 << W - 1) - m) * ones, vec
+    low = (1 << W) - 1  # the slot of f_L
     digits = (1,) if monic_only else sol.pivot_digit_range
-    stage = {tuple(q * c % m for c in sol.shortest.coeffs) for q in digits}
-    stage = _add_params(stage, top, p, m, L + 1)
-    assert all(f[L] % p == 1 if monic_only else f[L] % p for f in stage)
+    stage = {int.from_bytes(vec.pack(*[q * c % m for c in sol.shortest.coeffs]), "big")
+             for q in digits}
+    stage = _add_params(stage, top, p, m, packing)
+    assert all((f & low) % p == 1 if monic_only else (f & low) % p for f in stage)
     if monic_only:
-        stage = {f for f in stage if f[L] == 1}
-    stage = _add_params(stage, rest, p, m, L + 1)
-    # every tuple is reduced and ends in a unit: the polynomials share the
-    # tuples, and the set is dropped first, so that up to the cap's 65536
-    # results are held once rather than twice
+        stage = {f for f in stage if f & low == 1}
+    stage = _add_params(stage, rest, p, m, packing)
+    # each int gives way to its polynomial in place, so that the up to 65536
+    # results of the cap are not held as ints and as polynomials at once
     ordered = sorted(stage)
     del stage
-    return [Poly._trusted(sol.ring, f) for f in ordered]
+    for i, f in enumerate(ordered):
+        ordered[i] = Poly._trusted(ring, vec.unpack(f.to_bytes(vec.size, "big")))
+    return ordered
 
 
 def brute_force_shortest(

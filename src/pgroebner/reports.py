@@ -19,7 +19,7 @@ number of `param:` lines, and the `param:` budgets must ascend from 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 
 from .errors import ParseError, ValidationFailed
 from .groebner import GroebnerBasis
@@ -37,17 +37,30 @@ from .polyvec import (
 )
 from .ring import Zpr
 
-# Long lists (up to 65536 `monic:` lines) are rendered and joined this many
-# items at a time: a string per item for all of them at once would take
-# several times the finished text's memory.
+# `_poly_lines` joins the up to 65536 `monic:` lines this many at a time: a string
+# per line for all of them at once would take several times the text's memory.
 JOIN_CHUNK = 1024
 
 
-def _join(sep: str, items, fmt=str) -> str:
-    """sep.join(map(fmt, items)) for a sequence, built a chunk at a time."""
-    return sep.join(
-        sep.join(map(fmt, items[k:k + JOIN_CHUNK])) for k in range(0, len(items), JOIN_CHUNK)
-    )
+def _poly_lines(prefix: str, polys):
+    """Yield the lines prefix + format_poly(f) of polys, JOIN_CHUNK lines to a string.
+
+    Each degree's column maps its nonzero coefficients to "+term" strings, and
+    a line joins its terms without the first "+".  The zero polynomial enters
+    as the one coefficient "0", whose term is "+0".
+    """
+    for k in range(0, len(polys), JOIN_CHUNK):
+        if len(polys) - k < 16:  # on so few lines the dicts cost more than they save
+            yield "\n".join(prefix + format_poly(f) for f in polys[k:])
+            continue
+        cols = [*zip_longest(*[f.coeffs or ("0",) for f in polys[k:k + JOIN_CHUNK]], fillvalue=0)]
+        mapped = []
+        for alpha in range(len(cols) - 1, -1, -1):
+            x = "" if alpha == 0 else "x" if alpha == 1 else f"x^{alpha}"
+            term = {c: f"+{c}{x}" if c != 1 or not x else f"+{x}" for c in set(cols[alpha]) if c}
+            mapped.append(map(term.get, cols[alpha], repeat("")))
+        text = ("\n" + prefix).join(map("".join, zip(*mapped)))
+        yield prefix + text[1:].replace("\n" + prefix + "+", "\n" + prefix)
 
 
 _HUNDRED = ",".join(f"#{d:02d}" for d in range(100))  # "#00,#01,...,#99"
@@ -127,7 +140,7 @@ def render_gb_doc(G: GroebnerBasis) -> str:
     lines += [
         f"lead: pos={d.lpos} deg={d.deg} ord={d.ord} lc={d.lc}" for d in G.leads
     ]
-    lines.append(f"betas: {_join(',', order_differences(G).betas)}")
+    lines.append(f"betas: {','.join(map(str, order_differences(G).betas))}")
     return "\n".join(lines) + "\n"
 
 
@@ -141,7 +154,7 @@ def parse_gb_doc(text: str) -> GroebnerBasis:
 
 def render_p_basis_doc(basis: PBasis) -> str:
     lines = _header("p-basis", basis.ring, basis.vectors[0].q, basis.order)
-    lines += [f"n: {basis.N}", f"betas: {_join(',', basis.betas)}"]
+    lines += [f"n: {basis.N}", f"betas: {','.join(map(str, basis.betas))}"]
     for v, (src, power) in zip(basis.vectors, basis.provenance):
         lines.append(f"vec: {format_vector(v)} src={src + 1} pow={power}")
     return "\n".join(lines) + "\n"
@@ -223,8 +236,7 @@ def render_lrr_doc(doc: LrrDoc) -> str:
         lines.append("monic-count: over-cap")
     else:
         lines.append(f"monic-count: {len(doc.monic)}")
-        if doc.monic:
-            lines.append(_join("\n", doc.monic, lambda f: f"monic: {format_poly(f)}"))
+        lines += _poly_lines("monic: ", doc.monic)
     lines.append("")  # the final newline, without copying the whole text once more
     return "\n".join(lines)
 
@@ -299,7 +311,7 @@ def render_gb_human(G: GroebnerBasis) -> str:
             f"  g{i}: lm={format_monomial(d.lm)} lc={d.lc} "
             f"lpos={d.lpos} deg={d.deg} ord={d.ord}"
         )
-    lines.append(f"order differences: ({_join(',', order_differences(G).betas)})")
+    lines.append(f"order differences: ({','.join(map(str, order_differences(G).betas))})")
     return "\n".join(lines) + "\n"
 
 
@@ -342,5 +354,5 @@ def render_lrr_human(sol: LrrSolution, monic: list[Poly] | None) -> str:
         lines.append("monic set: enumeration exceeds the configured cap")
     else:
         lines.append(f"monic shortest recurrences ({len(monic)}):")
-        lines += [f"  {format_poly(f)}" for f in monic]
+        lines += _poly_lines("  ", monic)
     return "\n".join(lines) + "\n"

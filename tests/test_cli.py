@@ -11,7 +11,7 @@ import pgroebner
 from pgroebner.cli import main
 from pgroebner.reports import (
     JOIN_CHUNK,
-    _join,
+    _poly_lines,
     _nonzero_digits,
     lrr_doc,
     parse_gb_doc,
@@ -261,11 +261,12 @@ class TestLrrCommand:
             assert parse_lrr_doc(render_lrr_doc(doc)) == doc
 
     def test_chunked_join_equals_plain_join(self):
+        ring = pgroebner.Zpr(3, 2)
         for n in (0, 1, JOIN_CHUNK - 1, JOIN_CHUNK, JOIN_CHUNK + 1, 3 * JOIN_CHUNK + 5):
-            for items in (range(7, 7 + n), tuple(range(7, 7 + n))):
-                assert _join(",", items) == ",".join(map(str, items))
-                assert _join("\n", items, lambda v: f"monic: {v}") == "\n".join(
-                    f"monic: {v}" for v in items
+            polys = [pgroebner.Poly(ring, (v, v // 9, v // 81)) for v in range(7, 7 + n)]
+            for items in (polys, tuple(polys)):
+                assert "\n".join(_poly_lines("monic: ", items)) == "\n".join(
+                    f"monic: {pgroebner.format_poly(f)}" for f in items
                 )
 
     def test_hundred_block_digits_equal_plain_join(self):

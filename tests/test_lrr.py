@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import struct
 
 import pytest
 
@@ -20,6 +21,69 @@ from pgroebner import (
 )
 from pgroebner.lrr import _add_params
 from conftest import SEQ_Z5, SEQ_Z9A, SEQ_Z9B, Z4, Z5, Z8, Z9
+
+# every slot width of the packed enumeration, with both edges 2m == 2^W
+# (Z_128 in 8-bit and Z_32768 in 16-bit slots), Z_256 just past the 8-bit
+# edge, Z_65521 in 32-bit and Z_3^30 in 64-bit slots
+PACKED_RINGS = (Zpr(2, 1), Z4, Z8, Z9, Z5, Zpr(2, 7), Zpr(2, 8), Zpr(2, 15), Zpr(65521, 1),
+                Zpr(3, 30))
+
+
+def _packing(m, width):
+    """(W, ones, K, struct) of width-slot vectors, stated apart from enumerate_shortest's."""
+    W = next(w for w in (8, 16, 32, 64) if 2 * m <= 1 << w)
+    ones = sum(1 << W * k for k in range(width))
+    vec = struct.Struct(">" + {8: "B", 16: "H", 32: "I", 64: "Q"}[W] * width)
+    return W, ones, ((1 << W - 1) - m) * ones, vec
+
+
+def _is_lrr_reference(f, S):
+    """The plain double loop over windows and terms that is_lrr replaces."""
+    if f.is_zero():
+        raise ZeroVector("the zero polynomial is not a recurrence")
+    ring, vals = S.ring, S.values
+    if not ring.is_unit(f.lead_coeff):
+        return False
+    L = f.degree
+    for j in range(S.n - L):
+        acc = 0
+        for k in range(L + 1):
+            acc += f.coeff(k) * vals[j + k]
+        if acc % ring.modulus:
+            return False
+    return True
+
+
+def _add_params_reference(stage, params, p, m, width):
+    """The digit spans of enumerate_shortest summed on coefficient tuples."""
+    for d, budget in params:
+        single = len(stage) == 1
+        span = stage if single else {(0,) * width}
+        for s in range(budget + 1):
+            copy = (0,) * s + d.coeffs + (0,) * (width - d.degree - 1 - s)
+            span = {tuple([(a + t * c) % m for a, c in zip(f, copy)])
+                    for f in span for t in range(p)}
+        stage = span if single else {tuple([(a + b) % m for a, b in zip(f, g)])
+                                     for f in stage for g in span}
+    return stage
+
+
+def _enumerate_reference(sol, monic_only, cap):
+    """enumerate_shortest on coefficient tuples with _add_params_reference."""
+    p, m, L = sol.ring.p, sol.ring.modulus, sol.length
+    active = [(d, budget) for d, budget in sol.param_basis if not d.is_zero()]
+    total = (p - 1) * p ** sum(budget + 1 for _, budget in active)
+    if total > cap:
+        raise EnumerationTooLarge(f"{total} parameter tuples exceed cap {cap}")
+    top = [(d, budget) for d, budget in active if d.degree + budget == L]
+    rest = [(d, budget) for d, budget in active if d.degree + budget < L]
+    digits = (1,) if monic_only else range(1, p)
+    stage = {tuple(q * c % m for c in sol.shortest.coeffs) for q in digits}
+    stage = _add_params_reference(stage, top, p, m, L + 1)
+    if monic_only:
+        stage = {f for f in stage if f[L] == 1}
+    stage = _add_params_reference(stage, rest, p, m, L + 1)
+    return [Poly(sol.ring, f) for f in sorted(stage)]
 
 
 def S5():
@@ -57,6 +121,33 @@ class TestIsLrr:
         one = Poly.constant(Z9, 1)
         assert is_lrr(one, SequenceInput(Z9, (0, 0, 0)))
         assert not is_lrr(one, SequenceInput(Z9, (0, 3, 0)))
+
+    def test_agrees_with_double_loop(self):
+        rng = random.Random(1729)
+        found = 0
+        for ring in (Z4, Z5, Z8, Z9, Zpr(2, 8), Zpr(65521, 1)):
+            m = ring.modulus
+            for _ in range(40):
+                S = SequenceInput(ring, tuple(rng.randrange(m) for _ in range(rng.randrange(1, 9))))
+                sol = shortest_lrr(S)
+                # random polynomials, the zero one included, the params (non-unit
+                # leading coefficients) and the recurrences themselves
+                candidates = [Poly(ring, [rng.randrange(m) for _ in range(rng.randrange(0, 6))]),
+                              *(d for d, _ in sol.param_basis)]
+                try:
+                    candidates += enumerate_shortest(sol, monic_only=False, cap=10**4)
+                except EnumerationTooLarge:
+                    candidates.append(sol.shortest)
+                for f in candidates:
+                    if f.is_zero():
+                        with pytest.raises(ZeroVector):
+                            is_lrr(f, S)
+                        with pytest.raises(ZeroVector):
+                            _is_lrr_reference(f, S)
+                        continue
+                    assert is_lrr(f, S) == _is_lrr_reference(f, S), (S.values, str(f))
+                    found += is_lrr(f, S)
+        assert found > 100
 
 
 class TestBuildModule:
@@ -241,7 +332,7 @@ class TestEnumerateShortest:
                         assert f.coeffs == Poly(ring, f.coeffs).coeffs, S.values
 
     def test_digit_spans_against_explicit_sums(self):
-        # a one-tuple stage seeds the span; a larger stage gets the span added
+        # a one-vector stage seeds the span; a larger stage gets the span added
         # afterwards.  Both must give every f + sum theta_s x^s d_i.
         rng = random.Random(3141)
         width = 6
@@ -258,19 +349,55 @@ class TestEnumerateShortest:
                     out.add(tuple(g))
             return out
 
-        for ring in (Zpr(2, 1), Z4, Z8, Z9, Zpr(5, 1)):
+        for ring in PACKED_RINGS:
             p, m = ring.p, ring.modulus
-            for _ in range(6):
+            packing = _packing(m, width)
+            vec = packing[3]
+            # Z_65521 spans one digit choice: 65521 sums per stage vector
+            for _ in range(6 if p < 100 else 1):
                 params = []
-                for _ in range(rng.randrange(1, 3)):
+                for _ in range(rng.randrange(1, 3) if p < 100 else 1):
                     d = Poly(ring, [rng.randrange(m) for _ in range(rng.randrange(1, 4))])
                     if not d.is_zero():
-                        params.append((d, rng.randrange(min(width - d.degree, 3 if p < 5 else 2))))
+                        top = (3 if p < 5 else 2) if p < 100 else 1
+                        params.append((d, rng.randrange(min(width - d.degree, top))))
                 one = {tuple(rng.randrange(m) for _ in range(width))}
                 two = one | {tuple(rng.randrange(m) for _ in range(width))}
-                for stage in (one, two):
-                    got = _add_params(set(stage), params, p, m, width)
+                # slots at the top residue m - 1 meet their carry edge
+                edge = {(m - 1,) * width, tuple(rng.choice((0, 1, m - 1)) for _ in range(width))}
+                for stage in (one, two, edge):
+                    packed = {int.from_bytes(vec.pack(*f), "big") for f in stage}
+                    got = {vec.unpack(f.to_bytes(vec.size, "big"))
+                           for f in _add_params(packed, params, p, m, packing)}
                     assert got == explicit(stage, params, p, m), (ring, params)
+                    assert got == _add_params_reference(set(stage), params, p, m, width)
+
+    def test_packed_enumeration_equals_tuple_reference(self):
+        # over Z_3^30 every solution has at least r - 1 = 29 digit slots, so
+        # both sides refuse it; the spans test above covers its 64-bit slots
+        rng = random.Random(1301)
+        compared = set()
+        for ring in PACKED_RINGS:
+            m = ring.modulus
+            cap = 1 << 14 if ring.p < 100 else 65520
+            for _ in range(12 if ring.p < 100 else 3):
+                n = rng.randrange(1, 9 if ring.r < 10 else 5)
+                values = [rng.choice((0, 1, m - 1, rng.randrange(m))) for _ in range(n)]
+                sol = shortest_lrr(SequenceInput(ring, tuple(values)))
+                for monic_only in (True, False):
+                    try:
+                        want = _enumerate_reference(sol, monic_only, cap)
+                    except EnumerationTooLarge:
+                        with pytest.raises(EnumerationTooLarge):
+                            enumerate_shortest(sol, monic_only=monic_only, cap=cap)
+                        continue
+                    got = enumerate_shortest(sol, monic_only=monic_only, cap=cap)
+                    assert got == want, (ring, values, monic_only)
+                    assert [f.coeffs for f in got] == [f.coeffs for f in want]
+                    compared.add((ring, monic_only, len(got) > 1))
+        assert {(ring, mode) for ring, mode, _ in compared} == {
+            (ring, mode) for ring in PACKED_RINGS[:-1] for mode in (True, False)}
+        assert sum(many for _, _, many in compared) >= 12
 
     def test_soundness_on_random_sequences(self):
         rng = random.Random(77)

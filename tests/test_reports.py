@@ -7,23 +7,28 @@ back the mutant's own fields.  An lrr mutant that differs from the
 original must raise ParseError.
 """
 
+import random
+
 import pytest
 
 from pgroebner import (
     POT,
     TOP,
     ParseError,
+    Poly,
     SequenceInput,
     ValidationFailed,
     Zpr,
     buchberger,
     build_p_basis,
     enumerate_shortest,
+    format_poly,
     parse_matrix,
     shortest_lrr,
 )
 from pgroebner.reports import (
     _lines,
+    _poly_lines,
     lrr_doc,
     parse_gb_doc,
     parse_lrr_doc,
@@ -156,3 +161,24 @@ def test_basis_with_an_element_zero_in_the_documents_ring_fails_validation():
     # over Z_3 the element [3x+6, 3x] of the Z_9 basis is zero
     with pytest.raises(ValidationFailed, match="zero element"):
         parse_gb_doc(_edited(_gb_text(), "r", "1"))
+
+
+def test_column_formatter_equals_format_poly():
+    rng = random.Random(65521)
+    cases = []
+    for ring in (Z8, Z9, Zpr(2, 1), Zpr(65521, 1)):
+        m = ring.modulus
+        # zero, degree 0 with 1 and other constants, x^k with coefficient 1
+        fixed = [Poly(ring, ()), Poly(ring, (1,)), Poly(ring, (m - 1,)), Poly(ring, (0, 1)),
+                 Poly(ring, (1, 1)), Poly(ring, (1, 0, 0, 1)), Poly(ring, (0, 0, m - 1))]
+        mixed = fixed + [Poly(ring, [rng.choice((0, 1, rng.randrange(m))) for _ in range(k)])
+                         for k in (rng.randrange(0, 14) for _ in range(60))]
+        rng.shuffle(mixed)
+        # below 16 lines format_poly formats them; from 16 on, the columns do
+        cases += [fixed, fixed * 3, mixed, [Poly(ring, ())], [Poly(ring, ())] * 20, mixed[:1],
+                  mixed[:15], mixed[:16], []]
+    for polys in cases:
+        for prefix in ("monic: ", "  ", ""):
+            want = "\n".join(prefix + format_poly(f) for f in polys)
+            assert "\n".join(_poly_lines(prefix, polys)) == want, [str(f) for f in polys]
+            assert "\n".join(_poly_lines(prefix, tuple(polys))) == want
