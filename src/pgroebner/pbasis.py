@@ -7,11 +7,13 @@ From a sorted minimal Groebner basis (g_1, ..., g_m) with order differences
 
 is a p-generator sequence spanning the same module: p times the last vector
 is zero and p times every other vector is a combination of the later ones
-with digit-polynomial coefficients (coefficients in {0, ..., p-1}).  The
-sequence is p-linearly independent, so its length N = sum of the betas is
-an invariant of the module (its p-dimension), independent of the monomial
-order.  Every module element then has a unique digit-coefficient
-representation, recovered here by greedy leading-digit peeling.
+with digit-polynomial coefficients (coefficients in {0, ..., p-1}); within
+a chain p^e*g_j that combination is the next vector, so only chain ends
+are digit-represented when the property is checked.  The sequence is
+p-linearly independent, so its length N = sum of the betas is an invariant
+of the module (its p-dimension), independent of the monomial order.  Every
+module element then has a unique digit-coefficient representation,
+recovered here by greedy leading-digit peeling.
 
 beta_j is the drop from ord(g_j) to the order of the next element sharing
 its leading position, or ord(g_j) when there is none.
@@ -41,16 +43,13 @@ class OrderDiffs:
 
 def order_differences(G: GroebnerBasis) -> OrderDiffs:
     """beta_j = ord(g_j) - ord(g_i) for the next i > j sharing lpos, else ord(g_j)."""
+    later: dict[int, int] = {}  # lpos -> ord of the nearest later element there
     betas = []
-    for j, dj in enumerate(G.leads):
-        nxt = next(
-            (d.ord for d in G.leads[j + 1 :] if d.lpos == dj.lpos),
-            None,
-        )
-        beta = dj.ord - nxt if nxt is not None else dj.ord
-        assert beta >= 1
-        betas.append(beta)
-    return OrderDiffs(tuple(betas))
+    for d in reversed(G.leads):
+        betas.append(d.ord - later.get(d.lpos, 0))
+        assert betas[-1] >= 1
+        later[d.lpos] = d.ord
+    return OrderDiffs(tuple(reversed(betas)))
 
 
 @dataclass(frozen=True)
@@ -87,47 +86,48 @@ class PBasis:
 def build_p_basis(G: GroebnerBasis) -> PBasis:
     """Expand a sorted minimal Groebner basis into its p-basis.
 
-    The p-generator-sequence property is verified constructively: p times
-    each vector is re-expressed in digit coordinates over the later vectors
-    and the expression is re-evaluated for exact equality.  A failure
-    signals an upstream basis bug and raises ValidationFailed.
+    The p-generator-sequence property is verified chain by chain.  Within a
+    chain, p * v_i must be the next vector exactly: G's validation makes each
+    lc p^(r - ord) and the ords of a position strictly fall, so the chains
+    of a position hold disjoint p-power layers and the greedy digit split of
+    p * v_i is 1 on the next vector and 0 elsewhere.  A chain end is
+    re-expressed in digit coordinates over the later vectors and the
+    expression re-evaluated for exact equality; p times the last vector must
+    be zero.  A failure signals an upstream basis bug and raises
+    ValidationFailed; the shared-layer check cannot fail for a validated G.
     """
-    ring = G.ring
+    ring, order = G.ring, G.order
     betas = order_differences(G).betas
-    vectors: list[PolyVec] = []
-    provenance: list[tuple[int, int]] = []
-    for j, g in enumerate(G.elements):
-        for e in range(betas[j]):
-            vectors.append(g.scale(ring.p**e))
-            provenance.append((j, e))
-    basis = PBasis(G.order, tuple(vectors), tuple(provenance), betas)
+    provenance = tuple((j, e) for j, b in enumerate(betas) for e in range(b))
+    vectors = tuple(G.elements[j].scale(ring.p**e) for j, e in provenance)
+    basis = PBasis(order, vectors, provenance, betas)
 
-    for i, vi in enumerate(basis.vectors):
-        for k in range(i + 1, basis.N):
-            vk = basis.vectors[k]
-            if vi.lpos(G.order) == vk.lpos(G.order) and vi.ord(G.order) == vk.ord(
-                G.order
-            ):
-                raise ValidationFailed(
-                    f"vectors {i} and {k} share leading position and order"
-                )
-    for i, vi in enumerate(basis.vectors):
+    first: dict[tuple[int, int], int] = {}
+    for k, v in enumerate(vectors):
+        i = first.setdefault((v.lpos(order), v.ord(order)), k)
+        if i != k:
+            raise ValidationFailed(
+                f"vectors {i} and {k} share leading position and order"
+            )
+    for i, vi in enumerate(vectors):
         pv = vi.scale(ring.p)
-        if i == basis.N - 1:
+        j, e = provenance[i]
+        if e < betas[j] - 1:
+            if pv != vectors[i + 1]:
+                raise ValidationFailed(f"p * vector {i} is not vector {i + 1}")
+        elif i == len(vectors) - 1:
             if not pv.is_zero():
                 raise ValidationFailed("p times the last vector is nonzero")
-            continue
-        if pv.is_zero():
-            continue
-        tail = basis.vectors[i + 1 :]
-        try:
-            coeffs = _represent(pv, tail, G.order)
-        except NotInModule as exc:
-            raise ValidationFailed(
-                f"p * vector {i} is not a digit combination of the later vectors"
-            ) from exc
-        if combine(coeffs, tail) != pv:
-            raise ValidationFailed(f"digit expression for p * vector {i} is inexact")
+        elif not pv.is_zero():
+            tail = vectors[i + 1 :]
+            try:
+                coeffs = _represent(pv, tail, order)
+            except NotInModule as exc:
+                raise ValidationFailed(
+                    f"p * vector {i} is not a digit combination of the later vectors"
+                ) from exc
+            if combine(coeffs, tail) != pv:
+                raise ValidationFailed(f"digit expression for p * vector {i} is inexact")
     return basis
 
 

@@ -7,11 +7,15 @@ import pytest
 from pgroebner import (
     POT,
     TOP,
+    GroebnerBasis,
     NotInModule,
     PBasis,
     Poly,
     PolyVec,
     SequenceInput,
+    ValidationFailed,
+    ZeroVector,
+    Zpr,
     buchberger,
     build_module,
     build_p_basis,
@@ -21,6 +25,8 @@ from pgroebner import (
     p_dim,
     p_represent,
 )
+from pgroebner.pbasis import _represent
+from pgroebner.polyvec import combine
 from conftest import SEQ_Z9A, Z4, Z5, Z9, vec
 
 
@@ -70,6 +76,148 @@ class TestBuildPBasis:
                 key = (v.lpos(basis.order), v.ord(basis.order))
                 assert key not in seen
                 seen.add(key)
+
+
+def _reference_build_p_basis(G):
+    """The all-vectors p-generator check: p times every vector but the last
+    is digit-represented over the later vectors and re-evaluated, and every
+    pair of vectors is compared for a shared leading position and order.
+    The betas come from a rescan of the later leads for every element."""
+    ring, order = G.ring, G.order
+    betas = tuple(
+        d.ord - next((c.ord for c in G.leads[j + 1 :] if c.lpos == d.lpos), 0)
+        for j, d in enumerate(G.leads)
+    )
+    vectors, provenance = [], []
+    for j, g in enumerate(G.elements):
+        for e in range(betas[j]):
+            vectors.append(g.scale(ring.p**e))
+            provenance.append((j, e))
+    basis = PBasis(order, tuple(vectors), tuple(provenance), betas)
+    for i, vi in enumerate(vectors):
+        for k in range(i + 1, len(vectors)):
+            vk = vectors[k]
+            if vi.lpos(order) == vk.lpos(order) and vi.ord(order) == vk.ord(order):
+                raise ValidationFailed(
+                    f"vectors {i} and {k} share leading position and order"
+                )
+    for i, vi in enumerate(vectors):
+        pv = vi.scale(ring.p)
+        if i == len(vectors) - 1:
+            if not pv.is_zero():
+                raise ValidationFailed("p times the last vector is nonzero")
+            continue
+        if pv.is_zero():
+            continue
+        tail = vectors[i + 1 :]
+        try:
+            coeffs = _represent(pv, tail, order)
+        except NotInModule as exc:
+            raise ValidationFailed(
+                f"p * vector {i} is not a digit combination of the later vectors"
+            ) from exc
+        if combine(coeffs, tail) != pv:
+            raise ValidationFailed(f"digit expression for p * vector {i} is inexact")
+    return basis
+
+
+def _verdict(build, G):
+    try:
+        return build(G)
+    except ValidationFailed as exc:
+        return f"ValidationFailed: {exc}"
+
+
+def _random_vector(rng, ring, q, deg=3):
+    while True:
+        comps = [
+            Poly(ring, [rng.randrange(ring.modulus) for _ in range(rng.randint(0, deg + 1))])
+            for _ in range(q)
+        ]
+        v = PolyVec.from_components(ring, comps)
+        if not v.is_zero():
+            return v
+
+
+CHAIN_RINGS = [Zpr(2, 2), Zpr(2, 3), Zpr(3, 2), Zpr(2, 4), Zpr(5, 2), Zpr(3, 3), Zpr(2, 8)]
+
+
+class TestChainByChainCheck:
+    """build_p_basis against the all-vectors reference: the same p-basis when
+    both accept, the same ValidationFailed message when both reject.  No
+    validated basis reaches the shared-layer branch, so none is built here."""
+
+    def _assert_same_accepting(self, bases):
+        internal = 0
+        for G in bases:
+            ref = _reference_build_p_basis(G)
+            assert build_p_basis(G) == ref
+            internal += sum(b - 1 for b in ref.betas)
+        return internal
+
+    def test_completed_modules(self):
+        rng = random.Random(1401)
+        bases = []
+        for ring in CHAIN_RINGS:
+            for q in (2, 3, 4):
+                for _ in range(2):
+                    gens = [_random_vector(rng, ring, q) for _ in range(rng.randint(2, 4))]
+                    bases += [buchberger(gens, order) for order in (TOP, POT)]
+        assert len(bases) == 84
+        assert self._assert_same_accepting(bases) > 300  # chain-internal vectors
+
+    def test_lrr_interpolation_modules(self):
+        rng = random.Random(1402)
+        bases = []
+        for ring in (Zpr(3, 4), Zpr(2, 8)):
+            for n in range(1, 13):
+                seq = tuple(rng.randrange(ring.modulus) for _ in range(n))
+                gens = list(build_module(SequenceInput(ring, seq)))
+                bases += [buchberger(gens, order) for order in (TOP, POT)]
+        assert self._assert_same_accepting(bases) > 300
+
+    def test_non_groebner_bases(self):
+        # structurally valid GroebnerBasis objects of random vectors, most of
+        # them not Groebner bases of anything they were built from
+        rng = random.Random(1403)
+        seen = {}
+        while sum(seen.values()) < 300:
+            ring = rng.choice(CHAIN_RINGS)
+            q = rng.randint(1, 3)
+            els = [
+                _random_vector(rng, ring, q).scale(ring.p ** rng.randrange(ring.r))
+                for _ in range(rng.randint(1, q * ring.r))
+            ]
+            try:
+                G = GroebnerBasis.from_elements(
+                    [v for v in els if not v.is_zero()], rng.choice((TOP, POT))
+                )
+            except (ValidationFailed, ZeroVector):
+                continue
+            ref = _verdict(_reference_build_p_basis, G)
+            assert _verdict(build_p_basis, G) == ref
+            kind = ref if isinstance(ref, str) else "accept"
+            kind = "digit" if "digit combination" in kind else kind
+            seen[kind] = seen.get(kind, 0) + 1
+        assert set(seen) == {
+            "accept",
+            "digit",
+            "ValidationFailed: p times the last vector is nonzero",
+        }
+        assert min(seen.values()) >= 20
+
+    def test_p_times_last_vector_nonzero(self):
+        G = GroebnerBasis.from_elements([vec(Z4, "[2x+1]")], TOP)
+        with pytest.raises(ValidationFailed, match="p times the last vector is nonzero"):
+            build_p_basis(G)
+
+    def test_chain_end_not_a_digit_combination(self):
+        G = GroebnerBasis.from_elements([vec(Z4, "[x, 1]"), vec(Z4, "[2, 0]")], TOP)
+        with pytest.raises(
+            ValidationFailed,
+            match=r"p \* vector 0 is not a digit combination of the later vectors",
+        ):
+            build_p_basis(G)
 
 
 def _unimodular_generators(ring, rng):
