@@ -36,10 +36,10 @@ All computations are deterministic: pairs are processed in ascending
 counting as (lm(g_k), k, k), reducers are chosen largest leading
 monomial first with index tie-breaks, quotients use the canonical digit
 representative, and S-vectors are oriented newer-minus-older.  Finished
-bases are normalized so each leading coefficient is exactly p^(r-ord), and
-tail terms covered by a unit-leading-coefficient element are cancelled
-(those cancellations have unique quotients, so this is a canonical step;
-full tail reduction is deliberately not performed).
+bases are read by position: a minimal basis is a staircase there, degree
+and ord rising together, so with each lc normalized to p^(r-ord) only the
+top element can have lc 1; the tail terms it covers are cancelled (unique
+quotients, so a canonical step; full tail reduction is not performed).
 
 During completion the reducer is read from an index rather than found by
 scanning the basis.  The live basis files each element, as it is
@@ -50,8 +50,8 @@ highest degree whose ord is high enough.  Walking the bucket from the first
 degree <= alpha and taking the first element with a high enough ord finds
 that same element, ties included.  The whole bucket lists a new
 element's pairs.  Plain lists passed to `reduce_step`, `normal_form`,
-`is_groebner` or `module_equal` are still scanned, and the scan stays
-the reference the tests compare the index against.
+`is_groebner` or `module_equal` are still scanned, and the scan stays the
+reference the tests compare the index against.  The finish needs neither.
 """
 
 from __future__ import annotations
@@ -213,31 +213,24 @@ def _annihilator_vector(g: PolyVec, order: MonomialOrder) -> PolyVec:
     return g.scale(g.ring.p ** g.ord(order))
 
 
-def _covers(h: LeadData, g: LeadData) -> bool:
-    """True when lt(g) is cancellable by h alone."""
-    return h.lm.divides(g.lm) and h.ord >= g.ord
-
-
 def _minimalize_elements(
     elements: list[PolyVec], order: MonomialOrder
 ) -> list[PolyVec]:
-    """Drop elements whose leading terms are covered by the kept ones.
+    """The elements that no kept one covers, in ascending lm order.
 
-    Scanned in ascending leading-monomial order (higher element order first
-    on ties) so every potential cover is decided before the elements it
-    covers.  Returns the kept elements sorted descending by lm.
+    h covers g when they share a position, deg h <= deg g and ord h >= ord g.
+    In ascending lm order (higher ord first on ties, then by index: the sort
+    is stable) every possible cover of g comes first, so a kept element
+    covers g exactly when the highest ord kept at g's position is >= ord g.
     """
-    leads = [lead_data(g, order) for g in elements]
-    idx = sorted(
-        range(len(elements)),
-        key=lambda i: (order.key(leads[i].lm), -leads[i].ord, i),
-    )
-    kept: list[int] = []
-    for i in idx:
-        if not any(_covers(leads[j], leads[i]) for j in kept):
-            kept.append(i)
-    kept.sort(key=lambda i: order.key(leads[i].lm), reverse=True)
-    return [elements[i] for i in kept]
+    best: dict[int, int] = {}  # position -> highest ord kept there
+    kept = []
+    for g in sorted(elements, key=lambda g: (order.key(g.lead(order)[1]), -g.lead(order)[2])):
+        _, m, o = g.lead(order)
+        if o > best.get(m.pos, 0):
+            best[m.pos] = o
+            kept.append(g)
+    return kept
 
 
 def _cancel_unit_tails(
@@ -246,27 +239,30 @@ def _cancel_unit_tails(
     """Cancel tail terms covered by unit-lc elements (unique quotients only).
 
     Elements arrive sorted descending by lm and are processed smallest lm
-    first, so reducers are already in canonical form when used.  Only the
-    later elements are offered: a lm that divides a tail term of g lies
-    below lm(g), so no earlier element's lm can.
+    first, each cancelling its largest covered tail term until none is left.
+    A unit covering a tail term Y of g has lm <= Y < lm(g), so the units
+    processed before g, one per position, are all its reducers.  With one
+    unit of lc 1 per position the result is unique (two results would differ
+    by a unit combination, whose leading term is covered), so the order of
+    cancellation cannot matter.  A non-minimal list may hold two units at
+    one position; validation then fails on leading data, which cancellation
+    never touches.
     """
-    ring = elements[0].ring
-    out = list(elements)
-    for i in range(len(out) - 1, -1, -1):
-        g = out[i]
-        others = out[i + 1 :]
-        lead = g.lm(order)
-        while True:
-            for mono, c in g.sorted_terms(order):
-                h = None if mono == lead else _pick_reducer(mono, ring.r, others, order)
-                if h is not None:
-                    # lc(h) == 1 after normalization, so the quotient is c itself
-                    g = g.sub_term_mul(h, c, mono.alpha - h.lm(order).alpha)
-                    break
-            else:  # no tail term is covered any more
-                break
-        out[i] = g
-    return out
+    units: dict[int, tuple[int, PolyVec]] = {}  # position -> (degree, its unit)
+    out = []
+    for g in reversed(elements):
+        _, lead, o = g.lead(order)
+        while covered := [
+            m for m in g.terms if m != lead and m.pos in units and units[m.pos][0] <= m.alpha
+        ]:
+            m = max(covered, key=order.key)
+            deg, h = units[m.pos]
+            # lc(h) == 1 after normalization, so the quotient is the coefficient itself
+            g = g.sub_term_mul(h, g.terms[m], m.alpha - deg)
+        if o == g.ring.r:
+            units[lead.pos] = (lead.alpha, g)
+        out.append(g)
+    return out[::-1]
 
 
 @dataclass(frozen=True)
@@ -337,7 +333,7 @@ class GroebnerBasis:
             if ring.unit_part(di.lc) != 1:
                 raise ValidationFailed(f"element {i} has unnormalized lc {di.lc}")
             for j, dj in enumerate(self.leads):
-                if j != i and _covers(dj, di):
+                if j != i and dj.lm.divides(di.lm) and dj.ord >= di.ord:
                     raise ValidationFailed(f"element {i} is reducible by element {j}")
             if i + 1 < len(self.leads):
                 nxt = self.leads[i + 1]

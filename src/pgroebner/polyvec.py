@@ -265,17 +265,15 @@ class PolyVec:
     def component(self, pos: int) -> Poly:
         if not (1 <= pos <= self.q):
             raise DimensionMismatch(f"position {pos} outside [1, {self.q}]")
-        coeffs: dict[int, int] = {}
-        for mono, c in self.terms.items():
-            if mono.pos == pos:
-                coeffs[mono.alpha] = c
-        if not coeffs:
-            return Poly(self.ring)
-        top = max(coeffs)
-        return Poly(self.ring, (coeffs.get(k, 0) for k in range(top + 1)))
+        return self.components()[pos - 1]
 
     def components(self) -> list[Poly]:
-        return [self.component(i) for i in range(1, self.q + 1)]
+        """The q components, each row built from its nonzero terms by ascending degree."""
+        rows: list[list[int]] = [[] for _ in range(self.q)]
+        for (alpha, pos), c in sorted(self.terms.items()):
+            row = rows[pos - 1]
+            row += [0] * (alpha - len(row)) + [c]
+        return [Poly._trusted(self.ring, tuple(row)) for row in rows]
 
     # -- basic structure -------------------------------------------------------
 
@@ -284,10 +282,6 @@ class PolyVec:
 
     def coeff(self, mono: Monomial) -> int:
         return self.terms.get(mono, 0)
-
-    def sorted_terms(self, order: MonomialOrder) -> list[tuple[Monomial, int]]:
-        """Terms in descending monomial order."""
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     def _check(self, other: "PolyVec") -> None:
         if self.ring != other.ring:

@@ -134,6 +134,13 @@ def _parse_header(fields: list[tuple[str, str]], kind: str) -> Zpr:
     return _read(fields, "r", lambda r: Zpr(p, int(r)))
 
 
+def _canonical_tails(G: GroebnerBasis) -> GroebnerBasis:
+    """G, unless a tail term is covered by a unit-lc element: then a ParseError."""
+    if GroebnerBasis.from_elements(list(G.elements), G.order) != G:
+        raise ParseError("a tail term is covered by a unit-lc element")
+    return G
+
+
 def render_gb_doc(G: GroebnerBasis) -> str:
     lines = _header("groebner-basis", G.ring, G.q, G.order) + [f"size: {len(G)}"]
     lines += [f"elem: {format_vector(g)}" for g in G.elements]
@@ -149,7 +156,7 @@ def parse_gb_doc(text: str) -> GroebnerBasis:
     ring = _parse_header(fields, "groebner-basis")
     rows = _read(fields, "elem", lambda s: parse_vector(ring, s), many=True)
     G = GroebnerBasis(_read(fields, "order", MonomialOrder), tuple(rows))
-    return _checked(G, render_gb_doc, fields)
+    return _checked(_canonical_tails(G), render_gb_doc, fields)
 
 
 def render_p_basis_doc(basis: PBasis) -> str:
@@ -178,7 +185,7 @@ def parse_p_basis_doc(text: str) -> PBasis:
     elements = [v for v in _read(fields, "vec", source, many=True) if v is not None]
     try:
         G = GroebnerBasis(_read(fields, "order", MonomialOrder), tuple(elements))
-        basis = build_p_basis(G)
+        basis = build_p_basis(_canonical_tails(G))
     except ValidationFailed as exc:
         raise ParseError(f"not a p-basis: {exc}") from exc
     return _checked(basis, render_p_basis_doc, fields)

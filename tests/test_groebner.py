@@ -32,7 +32,15 @@ from pgroebner import (
     reduce_step,
     shortest_lrr,
 )
-from pgroebner.groebner import _pick_reducer, _quotient, _ReducerIndex
+from pgroebner.groebner import (
+    _cancel_unit_tails,
+    _minimalize_elements,
+    _pick_reducer,
+    _quotient,
+    _ReducerIndex,
+    lead_data,
+    normalize_lc,
+)
 from pgroebner.reports import lrr_doc, render_gb_doc, render_lrr_doc, render_p_basis_doc
 from conftest import (
     GB_Z5_TOP,
@@ -334,6 +342,136 @@ class TestReducerIndex:
             lambda self, mono, min_ord: _pick_reducer(mono, min_ord, list(self), self.order),
         )
         assert docs() == indexed
+
+
+def _reference_minimalize(elements, order):
+    """The cover scan `_minimalize_elements` replaced, kept as its reference.
+
+    Scanned in ascending lm order (higher ord, then lower index first on
+    ties), an element is kept unless a kept one covers it.  Returns the kept
+    elements sorted descending by lm.
+    """
+    leads = [lead_data(g, order) for g in elements]
+    idx = sorted(range(len(elements)), key=lambda i: (order.key(leads[i].lm), -leads[i].ord, i))
+    kept = []
+    for i in idx:
+        if not any(leads[j].lm.divides(leads[i].lm) and leads[j].ord >= leads[i].ord
+                   for j in kept):
+            kept.append(i)
+    kept.sort(key=lambda i: order.key(leads[i].lm), reverse=True)
+    return [elements[i] for i in kept]
+
+
+def _reference_cancel_unit_tails(elements, order):
+    """The rescan `_cancel_unit_tails` replaced, kept as its reference.
+
+    Smallest lm first, each element cancels its largest tail term that
+    `_pick_reducer` finds a unit-lc reducer for among the later elements,
+    and then scans its re-sorted terms again, until none is covered.
+    """
+    ring = elements[0].ring
+    out = list(elements)
+    for i in range(len(out) - 1, -1, -1):
+        g = out[i]
+        others = out[i + 1:]
+        lead = g.lm(order)
+        while True:
+            for mono, c in sorted(g.terms.items(), key=lambda t: order.key(t[0]), reverse=True):
+                h = None if mono == lead else _pick_reducer(mono, ring.r, others, order)
+                if h is not None:
+                    g = g.sub_term_mul(h, c, mono.alpha - h.lm(order).alpha)
+                    break
+            else:
+                break
+        out[i] = g
+    return out
+
+
+def _finish_inputs(rng, ring, q, size):
+    """Non-minimal element lists: `_seeded_basis` plus copies of an lm and an
+    ord with another tail, so that the index tie-break decides what is kept."""
+    out = _seeded_basis(rng, ring, q, size)
+    for g in rng.sample(out, len(out) // 3):
+        low = Monomial(0, q)  # the smallest monomial under TOP and POT alike
+        if low not in g.terms:
+            out.insert(rng.randrange(len(out) + 1),
+                       PolyVec(ring, q, {**g.terms, low: rng.randrange(1, ring.modulus)}))
+    # longer tails, for the unit-lc elements to cancel
+    out += [g.sub_term_mul(rng.choice(out), rng.randrange(ring.modulus), rng.randrange(3))
+            for g in rng.sample(out, len(out) // 4)]
+    return [g for g in out if not g.is_zero()]
+
+
+class TestFinishByPosition:
+    """The staircase finish against the cover scan and the rescan it replaced.
+
+    Over Z_2 to Z_256 with q = 1-4 under TOP and POT, the staircase keeps
+    the objects the cover scan keeps, and cancels unit tails to the same
+    vectors.  Keeping on `o >= best` instead of `o > best` fails here; taking
+    the smallest covered tail term instead of the largest cannot, since the
+    fully cancelled tail is unique.
+    """
+
+    RINGS = (Zpr(2, 1), Zpr(2, 2), Zpr(2, 3), Z9, Zpr(3, 3), Zpr(5, 2), Zpr(2, 8))
+
+    def test_finish_equals_the_reference(self):
+        rng = random.Random(63)
+        kept_ties = cancelled = 0
+        for ring in self.RINGS:
+            for q in range(1, 5):
+                for order in (TOP, POT):
+                    for _ in range(12):
+                        elements = _finish_inputs(rng, ring, q, rng.randrange(1, 16))
+                        want = _reference_minimalize(elements, order)
+                        got = _minimalize_elements(elements, order)
+                        assert [id(g) for g in got[::-1]] == [id(g) for g in want]
+                        kept_ties += any(
+                            h is not g and h.lm(order) == g.lm(order)
+                            and h.ord(order) == g.ord(order) and h != g
+                            for g in want for h in elements
+                        )
+                        norm = [normalize_lc(g, order) for g in want]
+                        tails = _reference_cancel_unit_tails(norm, order)
+                        assert _cancel_unit_tails(norm, order) == tails
+                        assert GroebnerBasis.from_elements(got, order) == GroebnerBasis(
+                            order, tuple(tails)
+                        )
+                        cancelled += tails != norm
+        assert kept_ties > 300 and cancelled > 80, (kept_ties, cancelled)
+
+    def test_non_minimal_lists_keep_their_leading_data(self):
+        rng = random.Random(64)
+        for ring in self.RINGS:
+            for q in range(1, 5):
+                for order in (TOP, POT):
+                    for _ in range(6):
+                        elements = _finish_inputs(rng, ring, q, rng.randrange(2, 16))
+                        norm = [normalize_lc(g, order) for g in elements]
+                        norm.sort(key=lambda g: order.key(g.lm(order)), reverse=True)
+                        leads = [g.lead(order) for g in norm]
+                        assert [g.lead(order) for g in _cancel_unit_tails(norm, order)] == leads
+                        assert [
+                            g.lead(order) for g in _reference_cancel_unit_tails(norm, order)
+                        ] == leads
+
+    def test_completion_equals_the_reference_finish(self, monkeypatch):
+        rng = random.Random(65)
+        cases = []
+        for k in range(42):
+            ring = self.RINGS[k % len(self.RINGS)]
+            gens = _seeded_basis(rng, ring, 1 + k % 4, rng.randrange(1, 5))
+            cases += [(gens, order) for order in (TOP, POT)]
+        for ring in (Zpr(2, 8), Zpr(3, 4)):
+            S = SequenceInput(ring, tuple(rng.randrange(ring.modulus) for _ in range(12)))
+            cases.append((list(build_module(S)), TOP))
+
+        def docs():
+            return [render_gb_doc(buchberger(gens, order)) for gens, order in cases]
+
+        finished = docs()
+        monkeypatch.setattr(groebner, "_minimalize_elements", _reference_minimalize)
+        monkeypatch.setattr(groebner, "_cancel_unit_tails", _reference_cancel_unit_tails)
+        assert docs() == finished
 
 
 def _baseline_sequence(ring, n):

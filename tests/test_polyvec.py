@@ -241,6 +241,27 @@ def _random_vec(rng, ring=Z9, q=2, size=5):
     return PolyVec(ring, q, terms)
 
 
+class TestComponents:
+    def test_components_rebuild_the_vector(self):
+        rng = random.Random(71)
+        empty = 0
+        for ring in (Z9, Zpr(2, 8), Zpr(65521, 1)):
+            for q in range(1, 5):
+                for _ in range(40):
+                    v = _random_vec(rng, ring, q, size=rng.randrange(1, 8))
+                    comps = v.components()
+                    assert len(comps) == q
+                    assert PolyVec.from_components(ring, comps) == v
+                    # no trailing zero: the public constructor would strip one
+                    assert all(c.coeffs == Poly(ring, c.coeffs).coeffs for c in comps)
+                    assert [v.component(pos) for pos in range(1, q + 1)] == comps
+                    for pos in (0, q + 1):
+                        with pytest.raises(DimensionMismatch):
+                            v.component(pos)
+                    empty += any(c.is_zero() for c in comps)
+        assert empty > 100
+
+
 class TestTrustedConstruction:
     """Arithmetic builds vectors without the public checks; they must not be needed."""
 

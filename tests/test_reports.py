@@ -125,12 +125,19 @@ def _first_vec_lines_swapped(text):
     return "\n".join(lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:]) + "\n"
 
 
+NONCANONICAL_G1 = "[x^2+3x+1, x^5+4x^4+4x^3+8x^2+2x]"
+
 NAMED_CASES = {
     "wrong-lead": lambda: _edited(_gb_text(), "lead", "pos=2 deg=5 ord=2 lc=8"),
     "wrong-betas": lambda: _edited(_gb_text(), "betas", "1,1,1,2"),
     "wrong-size": lambda: _edited(_gb_text(), "size", "3"),
     "residue-above-modulus": lambda: _edited(_gb_text(), "elem", "[17, x^5+4x^4+4x^3+7x^2+7x]"),
     "noncanonical-vector": lambda: _edited(_gb_text(), "elem", "[8,x^5+4x^4+4x^3+7x^2+7x]"),
+    # g1+g3: g3 has lc 1 and covers x^2*e1, which buchberger cancels
+    "uncancelled-gb-tail": lambda: _edited(_gb_text(), "elem", NONCANONICAL_G1),
+    "uncancelled-p-basis-tail": lambda: _edited(
+        _p_basis_text(TOP), "vec", f"{NONCANONICAL_G1} src=1 pow=0"
+    ),
     "wrong-p-basis-n": lambda: _edited(_p_basis_text(POT), "n", "3"),
     # two source elements, and g with p*g: every line stays well-formed
     "swapped-p-basis-sources": lambda: _first_vec_lines_swapped(_p_basis_text(TOP)),
