@@ -138,41 +138,67 @@ def shortest_lrr(S: SequenceInput, max_steps: int = DEFAULT_MAX_STEPS) -> LrrSol
     )
 
 
-def _add_params(stage: set, params: list, p: int, m: int, packing: tuple) -> set:
-    """Sum onto stage the digit span {sum_s theta_s x^s d} of each (d, budget), packed."""
+def _solution_count(ring: Zpr, params, monic_only: bool) -> int:
+    """The number of shortest recurrences that the (d, budget) params parametrize.
+
+    (p-1) * p^slots unit-leading-coefficient ones, slots = sum(budget + 1)
+    over the params (each d nonzero), of which p^(slots-r+1) are monic:
+    enumerate_shortest gives the proof.
+    """
+    slots = sum(budget + 1 for _, budget in params)
+    return ring.p ** (slots - ring.r + 1) if monic_only else (ring.p - 1) * ring.p ** slots
+
+
+def _add_params(stage: list, params: list, p: int, m: int, packing: tuple) -> list:
+    """Sum onto stage the digit span [sum_s theta_s x^s d] of each (d, budget), packed.
+
+    The result holds len(stage) * p^slots sums, slots = sum(budget + 1), one
+    for each stage vector and digit choice, repeats included.
+    """
     W, ones, K, vec = packing
     top, width = W - 1, vec.size * 8 // W  # K sets bit `top` of a slot that reached m
     for d, budget in params:
-        # a single stage vector seeds the span, so the full-size set is built once
+        # a single stage vector seeds the span, so the full-size list is built once
         single = len(stage) == 1
-        span = stage if single else {0}
-        step = int.from_bytes(vec.pack(*d.coeffs, *(0,) * (width - d.degree - 1)), "big")
-        multiples = [0]  # t * d for the digits t; x^s t d is it shifted s slots down
-        for _ in range(p - 1):
-            u = multiples[-1] + step
-            multiples.append(u - ((u + K) >> top & ones) * m)
+        span = stage if single else [0]
+        pad = (0,) * (width - d.degree - 1)
+        # t * d for the digits t; x^s t d is it shifted s slots down
+        multiples = [int.from_bytes(vec.pack(*[t * c % m for c in d.coeffs], *pad), "big")
+                     for t in range(p)]
         for s in range(budget + 1):
-            span = {u - ((u + K) >> top & ones) * m
-                    for a in span for b in multiples for u in (a + (b >> W * s),)}
-        stage = span if single else {u - ((u + K) >> top & ones) * m
-                                     for a in stage for b in span for u in (a + b,)}
+            span = [u - ((u + K) >> top & ones) * m
+                    for a in span for b in multiples for u in (a + (b >> W * s),)]
+        stage = span if single else [u - ((u + K) >> top & ones) * m
+                                     for a in stage for b in span for u in (a + b,)]
     return stage
 
 
 def enumerate_shortest(
     sol: LrrSolution, monic_only: bool = True, cap: int = DEFAULT_ENUM_CAP
 ) -> list[Poly]:
-    """Materialize the parametrized shortest recurrences, deduplicated.
+    """Materialize the parametrized shortest recurrences, each exactly once.
 
     With monic_only, keeps exactly the digit choices whose combination has
     leading coefficient 1.  Only parameters with deg d_i + budget_i == L
     reach x^L; their leading coefficients are not units, so they add a
     multiple of p there, and q * d + ... has f_L = q (mod p).  Monic mode
     thus starts from the pivot digit q = 1 alone and filters once those
-    parameters are added, before the others multiply the set.  The cap
-    counts all (p-1) * p^slots parameter tuples in both modes.  Distinct
-    digit tuples can collide mod p^r, so results are deduplicated and
+    parameters are added, before the others multiply the list.  The cap
+    counts all (p-1) * p^slots parameter tuples in both modes.  Results are
     sorted by ascending coefficient tuples.
+
+    No two digit tuples give one recurrence, so nothing is deduplicated:
+    - on a minimal p-basis every module element has exactly one
+      representation sum a_i v_i with digit-polynomial coefficients a_i
+      (the unique representation that Kuijper-Schindelar derive from the
+      p-PLM property), so distinct tuples give distinct vectors [f, -h];
+    - every such vector has degree <= L <= n, so two of them with one f
+      differ by [0, h - h'], a module element; its first component 0
+      makes h - h' a multiple of x^(n+1) of degree <= n, so h = h'.
+    Hence there are (p-1) * p^slots unit-leading-coefficient shortest
+    recurrences.  The unit group, of order (p-1) * p^(r-1), acts freely on
+    them (u f = f with f_L a unit forces u = 1), and each orbit holds one
+    monic f, so p^(slots-r+1) are monic.  _solution_count states both.
 
     Sums run on packed vectors: (c_0, ..., c_L) is one int, c_0 in the top
     of L+1 slots of W bits, W the least of 8, 16, 32, 64 with 2m <= 2^W.
@@ -182,7 +208,7 @@ def enumerate_shortest(
     """
     ring, p, m, L = sol.ring, sol.ring.p, sol.ring.modulus, sol.length
     active = [(d, budget) for d, budget in sol.param_basis if not d.is_zero()]
-    total = (p - 1) * p ** sum(budget + 1 for _, budget in active)
+    total = _solution_count(ring, active, False)
     if total > cap:
         raise EnumerationTooLarge(f"{total} parameter tuples exceed cap {cap}")
     assert all(d.degree + budget <= L for d, budget in active)
@@ -193,21 +219,19 @@ def enumerate_shortest(
     vec = Struct(">" + "BHIQ"[W.bit_length() - 4] * (L + 1))
     packing = W, ones, ((1 << W - 1) - m) * ones, vec
     low = (1 << W) - 1  # the slot of f_L
-    digits = (1,) if monic_only else sol.pivot_digit_range
-    stage = {int.from_bytes(vec.pack(*[q * c % m for c in sol.shortest.coeffs]), "big")
-             for q in digits}
+    stage = [int.from_bytes(vec.pack(*[q * c % m for c in sol.shortest.coeffs]), "big")
+             for q in range(1, 2 if monic_only else p)]
     stage = _add_params(stage, top, p, m, packing)
     assert all((f & low) % p == 1 if monic_only else (f & low) % p for f in stage)
     if monic_only:
-        stage = {f for f in stage if f & low == 1}
+        stage = [f for f in stage if f & low == 1]
     stage = _add_params(stage, rest, p, m, packing)
     # each int gives way to its polynomial in place, so that the up to 65536
     # results of the cap are not held as ints and as polynomials at once
-    ordered = sorted(stage)
-    del stage
-    for i, f in enumerate(ordered):
-        ordered[i] = Poly._trusted(ring, vec.unpack(f.to_bytes(vec.size, "big")))
-    return ordered
+    stage.sort()
+    for i, f in enumerate(stage):
+        stage[i] = Poly._trusted(ring, vec.unpack(f.to_bytes(vec.size, "big")))
+    return stage
 
 
 def brute_force_shortest(

@@ -12,8 +12,11 @@ the one `build_p_basis` derives from its source vectors.  In an
 lrr-solution, `shortest` and the `monic:` lines must be recurrences of
 `seq` of degree `length` with unit leading coefficients (`shortest`
 monic), the `monic:` lines strictly ascending and holding `shortest`;
-`companion` must be shortest*S(x) mod x^(n+1), `pivot` 2r minus the
-number of `param:` lines, and the `param:` budgets must ascend from 0.
+`companion` must be shortest*S(x) mod x^(n+1), `pivot` at least 1 and
+2r minus the number of `param:` lines, and the `param:` budgets must
+ascend from 0 with d nonzero and deg d + budget <= `length`.  The number of `monic:`
+lines must be the count of shortest recurrences the params give, either
+the monic or the `lrr --all` one; at the monic count every line is monic.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from itertools import repeat, zip_longest
 
 from .errors import ParseError, ValidationFailed
 from .groebner import GroebnerBasis
-from .lrr import LrrSolution, SequenceInput, build_module, is_lrr
+from .lrr import LrrSolution, SequenceInput, _solution_count, build_module, is_lrr
 from .pbasis import PBasis, build_p_basis, format_p_basis, order_differences
 from .polyvec import (
     Monomial,
@@ -286,18 +289,29 @@ def parse_lrr_doc(text: str) -> LrrDoc:
         raise ParseError("companion is not shortest*S(x) mod x^(n+1)")
     # that module is free of rank 2, so its p-basis has 2r vectors, and
     # their degrees descend, so the budgets after the pivot ascend
-    if doc.pivot_index + 1 != 2 * ring.r - len(doc.params):
-        raise ParseError("pivot is not 2r minus the number of params")
+    if not 1 <= doc.pivot_index + 1 == 2 * ring.r - len(doc.params):
+        raise ParseError("pivot is not 2r minus the number of params, at least 1")
     budgets = [0] + [budget for _, budget in doc.params]
     if any(a > b for a, b in zip(budgets, budgets[1:])):
         raise ParseError("param budgets do not ascend from 0")
+    # the p-basis vectors after the pivot have degree <= length, and [0, h]
+    # in the module has degree > n >= length, so d is nonzero; this also
+    # keeps the exponent of _solution_count below 2r * (length + 1)
+    if any(d.is_zero() or d.degree + budget > doc.length for d, budget in doc.params):
+        raise ParseError("a param is zero or reaches past degree length")
     # monic: lines hold the monic solutions, or under `lrr --all` every
-    # unit-leading-coefficient one, in ascending coefficient order
+    # unit-leading-coefficient one, in ascending coefficient order.  The two
+    # counts differ unless p^r = 2, so the count tells the mode.
     if doc.monic is not None:
         keys = [g.coeffs for g in doc.monic]
+        monic_mode = len(keys) == _solution_count(ring, doc.params, True)
+        if not (monic_mode or len(keys) == _solution_count(ring, doc.params, False)):
+            raise ParseError("monic-count is not the number of recurrences the params give")
         if not (all(a < b for a, b in zip(keys, keys[1:])) and f.coeffs in keys
                 and all(map(recurrence, doc.monic))):
             raise ParseError("monic lines are not ascending recurrences of seq holding shortest")
+        if monic_mode and not all(g.is_monic() for g in doc.monic):
+            raise ParseError("a monic line is not monic")
     return doc
 
 

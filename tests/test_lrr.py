@@ -19,7 +19,7 @@ from pgroebner import (
     parse_poly,
     shortest_lrr,
 )
-from pgroebner.lrr import _add_params
+from pgroebner.lrr import _add_params, _solution_count
 from conftest import SEQ_Z5, SEQ_Z9A, SEQ_Z9B, Z4, Z5, Z8, Z9
 
 # every slot width of the packed enumeration, with both edges 2m == 2^W
@@ -365,10 +365,13 @@ class TestEnumerateShortest:
                 two = one | {tuple(rng.randrange(m) for _ in range(width))}
                 # slots at the top residue m - 1 meet their carry edge
                 edge = {(m - 1,) * width, tuple(rng.choice((0, 1, m - 1)) for _ in range(width))}
+                slots = sum(budget + 1 for _, budget in params)
                 for stage in (one, two, edge):
-                    packed = {int.from_bytes(vec.pack(*f), "big") for f in stage}
-                    got = {vec.unpack(f.to_bytes(vec.size, "big"))
-                           for f in _add_params(packed, params, p, m, packing)}
+                    packed = [int.from_bytes(vec.pack(*f), "big") for f in stage]
+                    sums = _add_params(packed, params, p, m, packing)
+                    # one sum per stage vector and digit choice, repeats kept
+                    assert len(sums) == len(stage) * p**slots, (ring, params)
+                    got = {vec.unpack(f.to_bytes(vec.size, "big")) for f in sums}
                     assert got == explicit(stage, params, p, m), (ring, params)
                     assert got == _add_params_reference(set(stage), params, p, m, width)
 
@@ -398,6 +401,32 @@ class TestEnumerateShortest:
         assert {(ring, mode) for ring, mode, _ in compared} == {
             (ring, mode) for ring in PACKED_RINGS[:-1] for mode in (True, False)}
         assert sum(many for _, _, many in compared) >= 12
+
+    def test_counts_equal_the_closed_form(self):
+        # distinct digit tuples give distinct recurrences, so without any
+        # deduplication the lists hold exactly the counts of _solution_count
+        rng = random.Random(4096)
+        rings = (Zpr(2, 1), Z4, Z8, Zpr(2, 4), Zpr(3, 1), Z9, Zpr(3, 3), Zpr(5, 2), Zpr(7, 2))
+        cap, compared, drawn, many = 4096, 0, 0, 0
+        while compared < 2000:
+            ring = rings[drawn % len(rings)]
+            drawn += 1
+            p, m = ring.p, ring.modulus
+            # about 40% of the sequences are built from multiples of p
+            step = p if rng.random() < 0.4 else 1
+            values = tuple(step * rng.randrange(m // step) for _ in range(rng.randrange(1, 9)))
+            sol = shortest_lrr(SequenceInput(ring, values))
+            counts = [_solution_count(ring, sol.param_basis, mode) for mode in (True, False)]
+            if counts[1] > cap:
+                with pytest.raises(EnumerationTooLarge):
+                    enumerate_shortest(sol, cap=cap)
+                continue
+            for monic_only, count in zip((True, False), counts):
+                got = enumerate_shortest(sol, monic_only=monic_only, cap=cap)
+                assert len(got) == count, (ring, values, monic_only)
+            compared += 1
+            many += counts[0] > 1
+        assert drawn < 2400 and many > 500
 
     def test_soundness_on_random_sequences(self):
         rng = random.Random(77)

@@ -154,6 +154,26 @@ NAMED_CASES = {
     "wrong-pivot": lambda: _edited(_lrr_z9_text(), "pivot", "1"),
     # ascending, shortest kept, but x^2+4 does not annihilate 1,4,4,7,7
     "monic-not-a-recurrence": lambda: _lrr_z9_text().replace("monic: x^2+5\n", "monic: x^2+4\n"),
+    # the params give 3 monic recurrences, and 2 is not the --all count 2*3^2 either
+    "incomplete-monic-set": lambda: _edited(
+        _lrr_z9_text().replace("monic: x^2+6x+8\n", ""), "monic-count", "2"
+    ),
+    # 5x^2+7 = 5(x^2+5) stays ascending with a unit lc, but 3 lines is the monic count
+    "non-monic-line-in-monic-set": lambda: _lrr_z9_text().replace(
+        "monic: x^2+5\n", "monic: 5x^2+7\n"
+    ),
+    # the counts would be 3^(10^9) and more: the parser must refuse it before counting
+    "param-budget-past-length": lambda: _edited(
+        _lrr_z9_text(), "param", "3x+6 budget=1000000000"
+    ),
+    # four params make the pivot 2r - 4 = 0
+    "pivot-below-one": lambda: _edited(_lrr_z9_text(), "pivot", "0").replace(
+        "param: 3x+6 budget=1\n", "param: 3x+6 budget=1\n" * 4
+    ),
+    # no p-basis vector after the pivot has first component 0; it keeps the count
+    "zero-param": lambda: _edited(_lrr_z9_text(), "pivot", "2").replace(
+        "param: 3x+6 budget=1\n", "param: 0 budget=0\nparam: 3x+6 budget=1\n"
+    ),
 }
 
 
@@ -162,6 +182,11 @@ def test_inconsistent_or_noncanonical_fields_are_parse_errors(case):
     text = NAMED_CASES[case]()
     with pytest.raises(ParseError):
         KINDS[_lines(text)[0][1]][0](text)
+
+
+def test_param_budget_is_refused_before_the_count():
+    with pytest.raises(ParseError, match="past degree length"):
+        parse_lrr_doc(NAMED_CASES["param-budget-past-length"]())
 
 
 def test_basis_with_an_element_zero_in_the_documents_ring_fails_validation():
