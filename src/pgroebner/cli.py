@@ -114,6 +114,19 @@ def _read_matrix(ring: Zpr, path: str):
     return parse_matrix(ring, text)
 
 
+_DECIMAL = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _decimal(text: str) -> int:
+    """int(text) for ASCII decimal digits only, with an optional sign and spaces around.
+
+    int() alone would also take underscores and other scripts' digits.
+    """
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _count(name: str, value: int, low: int = 0) -> int:
     """value, or ParseError when a count below low would make the run meaningless."""
     if value < low:
@@ -126,7 +139,7 @@ def _env_int(name: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        value = int(raw)
+        value = _decimal(raw)
     except ValueError as exc:
         raise ParseError(f"{name} must be an integer, got {raw!r}") from exc
     return _count(name, value)
@@ -220,7 +233,7 @@ def _cmd_pbasis(args: argparse.Namespace) -> int:
 def _cmd_lrr(args: argparse.Namespace) -> int:
     ring = _ring_from_args(args)
     try:
-        values = tuple(int(v) for v in args.seq.split(","))
+        values = tuple(_decimal(v) for v in args.seq.split(","))
     except ValueError as exc:
         raise ParseError(f"bad sequence {args.seq!r}") from exc
     if not values:

@@ -61,6 +61,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -97,19 +98,21 @@ def lead_data(f: PolyVec, order: MonomialOrder) -> LeadData:
 def normalize_lc(f: PolyVec, order: MonomialOrder) -> PolyVec:
     """Scale f by a unit so lc(f) becomes exactly p^(r - ord(f))."""
     ring = f.ring
-    u = ring.unit_part(f.lc(order))
+    c, _, o = f.lead(order)
+    u = c // ring.p ** (ring.r - o)
     if u == 1:
         return f
-    return f.scale(ring.inv(u))
+    return f.scale(pow(u, -1, ring.modulus))
 
 
-def _quotient(ring: Zpr, target: int, by: int) -> int:
-    """Canonical c with c * by == target; requires vp(by) <= vp(target), target != 0.
+def _quotient(ring: Zpr, target: int, by: int, vb: int) -> int:
+    """Canonical c with c * by == target, vb = vp(by); requires vb <= vp(target), target != 0.
 
     With by = u * p^vb, the solutions c form one residue class mod
     p^(r - vb): (target / p^vb) * u^-1.  Its least member is the answer.
+    Callers pass vb as r - ord(by), which the lead cache already holds.
     """
-    pv = ring.p ** ring.vp(by)
+    pv = ring.p ** vb
     m = ring.modulus // pv
     assert target % ring.modulus and not target % pv
     return target // pv * pow(by // pv, -1, m) % m
@@ -180,8 +183,9 @@ def reduce_step(f: PolyVec, F: list[PolyVec], order: MonomialOrder) -> PolyVec:
     g = _pick_reducer(m, o, F, order)
     if g is None:
         raise NotReducible("leading term not cancellable by the given reducers")
-    gc, gm, _ = g.lead(order)
-    h = f.sub_term_mul(g, _quotient(f.ring, c, gc), m.alpha - gm.alpha)
+    gc, gm, go = g.lead(order)
+    ring = f.ring
+    h = f.sub_term_mul(g, _quotient(ring, c, gc, ring.r - go), m.alpha - gm.alpha)
     assert h.is_zero() or order.compare(h.lm(order), m) < 0
     return h
 
@@ -199,13 +203,14 @@ def normal_form(f: PolyVec, F: list[PolyVec], order: MonomialOrder) -> PolyVec:
 def _s_vector(older: PolyVec, newer: PolyVec, order: MonomialOrder) -> PolyVec:
     """S-pair vector for two elements with equal leading position."""
     ring = older.ring
-    c1, m1, _ = older.lead(order)
-    c2, m2, _ = newer.lead(order)
+    c1, m1, o1 = older.lead(order)
+    c2, m2, o2 = newer.lead(order)
     assert m1.pos == m2.pos
     lcm_deg = max(m1.alpha, m2.alpha)
-    target = ring.p ** max(ring.vp(c1), ring.vp(c2))
-    t2 = newer.term_mul(_quotient(ring, target, c2), lcm_deg - m2.alpha)
-    return t2.sub_term_mul(older, _quotient(ring, target, c1), lcm_deg - m1.alpha)
+    r = ring.r
+    target = ring.p ** (r - min(o1, o2))
+    t2 = newer.term_mul(_quotient(ring, target, c2, r - o2), lcm_deg - m2.alpha)
+    return t2.sub_term_mul(older, _quotient(ring, target, c1, r - o1), lcm_deg - m1.alpha)
 
 
 def _annihilator_vector(g: PolyVec, order: MonomialOrder) -> PolyVec:
@@ -252,13 +257,16 @@ def _cancel_unit_tails(
     out = []
     for g in reversed(elements):
         _, lead, o = g.lead(order)
+        # the top tail term c*x^alpha of each unit's position, if the unit covers it
         while covered := [
-            m for m in g.terms if m != lead and m.pos in units and units[m.pos][0] <= m.alpha
+            (order.key(Monomial(top[1], pos)), top, deg, h)
+            for pos, (deg, h) in units.items()
+            if (top := g._lane_lead(pos, lead.alpha if pos == lead.pos else None))
+            and top[1] >= deg
         ]:
-            m = max(covered, key=order.key)
-            deg, h = units[m.pos]
+            _, (c, alpha), deg, h = max(covered, key=itemgetter(0))
             # lc(h) == 1 after normalization, so the quotient is the coefficient itself
-            g = g.sub_term_mul(h, g.terms[m], m.alpha - deg)
+            g = g.sub_term_mul(h, c, alpha - deg)
         if o == g.ring.r:
             units[lead.pos] = (lead.alpha, g)
         out.append(g)
@@ -404,17 +412,24 @@ def buchberger(
         g = normalize_lc(g, order)
         k = len(basis)
         _, km, k_ord = g.lead(order)
-        # k's pairs in the order they pop: ascending (lcm degree, index)
-        bucket = basis.buckets.get(km.pos, ())
-        walk = sorted([(max(-neg, km.alpha), i, o) for neg, i, o, _ in bucket])
+        # k's pairs in the order they pop, ascending (lcm degree, index): first
+        # the bucket's elements of degree <= deg k, whose lcm is deg k, by index,
+        # then the others by degree; reverse=True keeps a stable sort, so equal
+        # degrees stay in index order
+        alpha, pos = km
+        bucket = basis.buckets.get(pos, [])
+        cut = bisect.bisect_left(bucket, (-alpha,))
+        walk = sorted(bucket[cut:], key=itemgetter(1))
+        walk += sorted(bucket[:cut], key=itemgetter(0), reverse=True)
         basis.append(g)
         best = 0  # the highest ord walked so far
-        for lcm, i, o in walk:
+        for neg, i, o, _ in walk:
             if _keep_pair(best, o, k_ord):
-                push(Monomial(lcm, km.pos), k, i)
+                push(Monomial(max(-neg, alpha), pos), k, i)
             elif best >= k_ord:  # no later pair can be kept
                 break
-            best = max(best, o)
+            if o > best:
+                best = o
         if k_ord < ring.r:
             push(km, k, k)  # annihilator pair
 

@@ -1,5 +1,6 @@
 """CLI behavior: commands, exit codes, structured output round-trips."""
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -143,6 +144,34 @@ class TestGb:
         assert code == 2
         assert out == ""
         assert message in err
+
+
+    @pytest.mark.parametrize("row", ["[x^\u0663]", "[\u0661]"], ids=["exponent", "coefficient"])
+    def test_non_ascii_digits_are_parse_errors(self, capsys, tmp_path, row):
+        # Arabic-Indic 3 and 1: \\d and int() would read them as 3 and 1
+        path = tmp_path / "row.txt"
+        path.write_text(row + "\n", encoding="utf-8")
+        code, out, err = run(capsys, ["gb", "--ring", "9", str(path)])
+        assert code == 2 and not out and "bad term" in err
+
+    @pytest.mark.parametrize(
+        "ring, digest",
+        [
+            ("2", "c21c10cc2e76b5391022d1f821b13987b515c6fca8309ce3f21ec8ab331890b4"),
+            ("256", "473bfaf87426bb15d9cc0640e531a88d44230d123d027f1ebdd9ef26403f4b02"),
+            ("65521", "e6355cbe9d5b637b46316b7ebbe07c1d7b2e2cb3e5e3f1a3d169ef14cadab5c4"),
+        ],
+        ids=["Z_2", "Z_256", "Z_65521"],
+    )
+    def test_sparse_rows_of_degree_ten_to_the_fifth(self, capsys, tmp_path, ring, digest):
+        """A few terms up to degree 10^5: completion takes 0.3-2 * 10^5 reduction
+        steps, each over the blocks of degrees its reducer reaches.  The digests
+        are of the output of the dict-based vectors these blocks replaced."""
+        path = tmp_path / "sparse.txt"
+        path.write_text("[x^100000+1, x]\n[x, 1]\n[x^99999, x^5+3]\n")
+        code, out, _ = run(capsys, ["gb", "--ring", ring, "--structured", str(path)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestRingFlag:
@@ -299,6 +328,15 @@ class TestLrrCommand:
     def test_bad_sequence_is_parse_error(self, capsys):
         code, _, _ = run(capsys, ["lrr", "--ring", "9", "--seq", "1,4,x"])
         assert code == 2
+
+    @pytest.mark.parametrize("seq", ["1_0,4,4,7,7", "10,\u0664,4,7,7", "1_0,\u0664,4,7,7"],
+                             ids=["underscore", "arabic-indic", "both"])
+    def test_sequence_takes_ascii_decimal_digits_only(self, capsys, seq):
+        code, out, err = run(capsys, ["lrr", "--ring", "9", "--seq", seq])
+        assert code == 2 and not out and "bad sequence" in err
+        # signs and spaces around a number stay accepted
+        assert run(capsys, ["lrr", "--ring", "9", "--seq", " 1, +4,4 ,7,-2"])[1] == run(
+            capsys, ["lrr", "--ring", "9", "--seq", "1,4,4,7,7"])[1]
 
     def test_all_flag_includes_nonmonic(self, capsys):
         code, out, _ = run(capsys, ["lrr", "--ring", "5", "--seq", "1,4,3,3,2", "--all"])

@@ -23,8 +23,9 @@ from pgroebner import (
     parse_poly,
     parse_vector,
 )
-from pgroebner.polyvec import combine
+from pgroebner.polyvec import BLOCK, _layout, combine
 from conftest import Z5, Z9, vec
+from polyvec_reference import DictVec, combine as dict_combine
 
 monomials = st.builds(
     Monomial,
@@ -326,6 +327,190 @@ class TestTrustedConstruction:
         assert vec(Z9, "[x, 1]").sub_term_mul(g, 1, -1) == vec(Z9, "[0, 7]")
         with pytest.raises(DimensionMismatch):
             g.term_mul(2, -2)
+
+
+# the packed layouts: W = 2r for p = 2 and 3*bitlen(m) + 1 for odd p
+PACKED_RINGS = (Zpr(2, 1), Zpr(2, 2), Zpr(2, 8), Z9, Zpr(3, 4), Zpr(3, 20), Zpr(65521, 1))
+EDGE_TOPS = (3, BLOCK - 1, BLOCK, 2 * BLOCK + 1)
+
+
+def _residue(rng, ring):
+    """A residue, often a zero divisor or an edge value."""
+    m, p = ring.modulus, ring.p
+    return rng.choice([rng.randrange(m), p ** rng.randrange(ring.r) * rng.randrange(1, m) % m,
+                       m - 1, 1, p ** (ring.r - 1)])
+
+
+def _pair(rng, ring, q, top):
+    """A seeded vector of degree <= top and its dict reference.
+
+    It has a few terms anywhere, and terms at the top degree and at the
+    block edges below it.
+    """
+    edges = [a for a in (top, top - 1, BLOCK - 1, BLOCK, BLOCK + 1, 0) if 0 <= a <= top]
+    degrees = [rng.randrange(top + 1) for _ in range(rng.randrange(10))]
+    degrees += rng.sample(edges, rng.randrange(len(edges) + 1))
+    ref = DictVec(ring, q, {Monomial(a, rng.randrange(1, q + 1)): _residue(rng, ring)
+                            for a in degrees})
+    return ref.packed(), ref
+
+
+def _shift(rng):
+    """gamma for x^gamma: small ones, and ones that carry terms across blocks."""
+    return rng.choice([0, 1, rng.randrange(BLOCK), BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3,
+                       rng.randrange(3 * BLOCK)])
+
+
+def _agree(got, ref):
+    """got is the canonical packing of the reference's value."""
+    want = ref.packed()
+    assert got.terms == ref.terms
+    assert got == want and hash(got) == hash(want)
+    assert got._blocks == want._blocks and (not got._blocks or got._blocks[-1])
+    assert got.is_zero() == ref.is_zero()
+
+
+class TestPackedAgainstDictReference:
+    """The packed blocks against the dict arithmetic they replaced (`polyvec_reference`).
+
+    Seeded vectors over Z_2 to Z_3^20 and Z_65521, q = 1-4, with degrees at
+    the block edges and shifts that carry terms across blocks.
+    """
+
+    def test_arithmetic(self):
+        rng = random.Random(171)
+        zero = crossed = 0
+        for ring in PACKED_RINGS:
+            for q in range(1, 5):
+                for top in EDGE_TOPS:
+                    for _ in range(3):
+                        (f, rf), (g, rg) = _pair(rng, ring, q, top), _pair(rng, ring, q, top)
+                        c, gamma = _residue(rng, ring), _shift(rng)
+                        a = Poly(ring, [_residue(rng, ring) if rng.randrange(3) == 0 else 0
+                                        for _ in range(rng.choice([1, 3, BLOCK + 2]))])
+                        b = Poly(ring, [_residue(rng, ring) for _ in range(3)])
+                        cases = [
+                            (f.sub_term_mul(g, c, gamma), rf.sub_term_mul(rg, c, gamma)),
+                            (f + g, rf + rg),
+                            (f - g, rf - rg),
+                            (-f, -rf),
+                            (f.scale(c), rf.scale(c)),
+                            (g.term_mul(c, gamma), rg.term_mul(c, gamma)),
+                            (f.poly_mul(a), rf.poly_mul(a)),
+                            (combine([a, b], [f, g]), dict_combine([a, b], [rf, rg])),
+                            # full cancellation
+                            (g.term_mul(c, gamma).sub_term_mul(g, c, gamma), DictVec(ring, q)),
+                            (f - f, DictVec(ring, q)),
+                        ]
+                        for got, want in cases:
+                            _agree(got, want)
+                        # zero results besides the two forced ones
+                        zero += sum(got.is_zero() for got, _ in cases[:-2])
+                        crossed += len(cases[5][0]._blocks) > len(g._blocks)
+        assert zero > 100 and crossed > 100, (zero, crossed)
+
+    def test_lead_under_top_and_pot(self):
+        rng = random.Random(172)
+        differ = 0
+        for ring in PACKED_RINGS:
+            for q in range(1, 5):
+                for top in EDGE_TOPS:
+                    for _ in range(8):
+                        v, ref = _pair(rng, ring, q, top)
+                        # and one with a term moved far up, past empty blocks
+                        w = v.sub_term_mul(v, -1, 3 * BLOCK)
+                        rw = ref.sub_term_mul(ref, -1, 3 * BLOCK)
+                        for got, want in ((v, ref), (w, rw)):
+                            for order in (TOP, POT):
+                                if want.is_zero():
+                                    with pytest.raises(ZeroVector):
+                                        got.lead(order)
+                                else:
+                                    assert got.lead(order) == want.lead(order)
+                        differ += not ref.is_zero() and v.lm(TOP) != v.lm(POT)
+        assert differ > 200
+
+    def test_terms_components_coeff_and_equality_agree(self):
+        rng = random.Random(173)
+        for ring in PACKED_RINGS:
+            for q in range(1, 5):
+                for top in EDGE_TOPS:
+                    for _ in range(4):
+                        v, ref = _pair(rng, ring, q, top)
+                        comps = v.components()
+                        assert comps == ref.components()
+                        assert [v.component(pos) for pos in range(1, q + 1)] == comps
+                        rebuilt = PolyVec.from_components(ring, comps)
+                        assert rebuilt == v and hash(rebuilt) == hash(v)
+                        assert rebuilt.terms == v.terms == ref.terms
+                        probes = list(ref.terms) + [Monomial(rng.randrange(3 * BLOCK), pos)
+                                                    for pos in range(0, q + 2)]
+                        for mono in probes:
+                            assert v.coeff(mono) == ref.terms.get(mono, 0)
+                        if not v.is_zero():
+                            other = v.sub_term_mul(v, 1, rng.randrange(1, 2 * BLOCK))
+                            assert other != v
+
+    def test_zero_divisors_empty_a_block(self):
+        rng = random.Random(174)
+        emptied = 0
+        for ring in PACKED_RINGS:
+            p, r = ring.p, ring.r
+            for q in range(1, 5):
+                # units in blocks 0 and 2, only multiples of p^(r-1) in block 1
+                terms = {Monomial(a, rng.randrange(1, q + 1)): rng.randrange(1, p)
+                         for a in (0, 5, 2 * BLOCK, 2 * BLOCK + 7)}
+                terms.update({Monomial(BLOCK + a, 1): p ** (r - 1) * rng.randrange(1, p)
+                              for a in (0, 3, BLOCK - 1)})
+                f, rf = PolyVec(ring, q, terms), DictVec(ring, q, terms)
+                h = f.scale(p)
+                _agree(h, rf.scale(p))
+                if r > 1:
+                    assert len(h._blocks) == 3 and h._blocks[1] == 0
+                    emptied += 1
+                else:
+                    assert h.is_zero()
+                # cancelling the top block leaves no trailing zero block
+                top = DictVec(ring, q, {m: c for m, c in terms.items() if m.alpha >= 2 * BLOCK})
+                _agree(f - top.packed(), rf - top)
+                assert len((f - top.packed())._blocks) == 2
+        assert emptied == 20
+
+    @pytest.mark.parametrize("ring", PACKED_RINGS + (Zpr(2, 62), Zpr(3, 39)), ids=str)
+    def test_slotwise_reduction_is_exact(self, ring):
+        rng = random.Random(175)
+        m = ring.modulus
+        edges = [e for e in (0, 1, m - 1, m, m + 1, 2 * m - 1, 2 * m, m * m - m, m * m - 1)
+                 if e < m * m]
+        for q in (1, 3):
+            lay = _layout(ring, q)
+            assert m * m <= 1 << lay.W
+            for n in (1, 2, 3, 7, 64, BLOCK * q - 1, BLOCK * q):
+                slots = [rng.choice(edges) if rng.randrange(3) == 0 else rng.randrange(m * m)
+                         for _ in range(n)]
+                x = sum(s << j * lay.W for j, s in enumerate(slots))
+                assert lay.fold(x) == sum(s % m << j * lay.W for j, s in enumerate(slots))
+
+
+class TestSparseInputsStayLinear:
+    def test_blocks_out_of_reach_are_reused(self):
+        """An update by a one-block g touches the two blocks x^gamma * g reaches.
+
+        The degrees are literal: f spans five blocks of 256 degrees, which a
+        layout of one int per vector would not have.
+        """
+        ring, q = Zpr(2, 8), 2
+        rng = random.Random(176)
+        f = PolyVec(ring, q, {Monomial(a, rng.randrange(1, q + 1)): rng.randrange(1, 256)
+                              for a in range(0, 1280, 7)})
+        g = PolyVec(ring, q, {Monomial(a, 1): a + 1 for a in range(11)})
+        assert len(f._blocks) == 5 and len(g._blocks) == 1
+        gamma = 763  # x^gamma * g covers degrees 763-773, in blocks 2 and 3
+        h = f.sub_term_mul(g, 3, gamma)
+        for b in (0, 1, 4):
+            assert h._blocks[b] is f._blocks[b]
+        assert h._blocks[2] != f._blocks[2] and h._blocks[3] != f._blocks[3]
+        _agree(h, DictVec.of(f).sub_term_mul(DictVec.of(g), 3, gamma))
 
 
 class TestTextGrammar:
