@@ -158,9 +158,9 @@ def _max_enum(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, with_order: bool = True) -> None:
-    sub.add_argument("--ring", type=int, help="modulus as a prime power, e.g. 9")
-    sub.add_argument("--p", type=int, help="prime base of the ring")
-    sub.add_argument("--r", type=int, help="exponent of the ring")
+    sub.add_argument("--ring", type=_decimal, help="modulus as a prime power, e.g. 9")
+    sub.add_argument("--p", type=_decimal, help="prime base of the ring")
+    sub.add_argument("--r", type=_decimal, help="exponent of the ring")
     if with_order:
         sub.add_argument(
             "--order", choices=["top", "pot"], default="top", help="term order"
@@ -199,13 +199,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ck = subs.add_parser("check", help="Groebner and PLM property checks on a matrix")
     _add_common(ck)
     ck.add_argument("matrix", help="file of bracketed vectors, one per line ('-' for stdin)")
-    ck.add_argument("--trials", type=int, default=500, help="random tuples to sample")
-    ck.add_argument("--seed", type=int, default=0, help="random seed")
+    ck.add_argument("--trials", type=_decimal, default=500, help="random tuples to sample")
+    ck.add_argument("--seed", type=_decimal, default=0, help="random seed")
 
     # each cap only where it applies, so a cap given elsewhere is a usage error
     for sub in (gb, pb, lr):
-        sub.add_argument("--max-steps", type=int, help="cap on queued completion pairs")
-    lr.add_argument("--max-enum", type=int, help="enumeration cap")
+        sub.add_argument("--max-steps", type=_decimal, help="cap on queued completion pairs")
+    lr.add_argument("--max-enum", type=_decimal, help="enumeration cap")
     return parser
 
 

@@ -277,11 +277,11 @@ def _cancel_unit_tails(
 class GroebnerBasis:
     """A sorted minimal Groebner basis with cached leading data.
 
-    Elements are sorted strictly descending by leading monomial, leading
-    coefficients are normalized to exactly p^(r-ord), and the structural
-    invariants (distinct leading monomials, pairwise minimality, same
-    position degree/order monotonicity, size <= q*r) are verified at
-    construction.
+    Construction checks that every leading coefficient is exactly p^(r-ord),
+    that each position is a staircase (down the list, degree and ord both
+    strictly fall) and that the leading monomials strictly descend.
+    Distinct leading monomials, pairwise minimality and size <= q*r follow
+    (see `validate`).
     """
 
     order: MonomialOrder
@@ -334,27 +334,34 @@ class GroebnerBasis:
                 raise ValidationFailed("mixed rings or dimensions in basis")
 
     def validate(self) -> None:
-        """Raise ValidationFailed unless every structural invariant holds."""
+        """Raise ValidationFailed unless every structural invariant holds.
+
+        One walk checks each lc, the staircase against the previous element
+        at the same position, and the descent from the previous element.
+        The rest follows.  If j < i share a position, chaining the staircase
+        gives deg j > deg i and ord j > ord i.  A divisor of lm(g_i) at its
+        position has degree <= deg i, so it is some g_j with j > i, and
+        ord j < ord i: no element is reducible by another.  Every ord lies
+        in 1..r, so a position holds at most r elements, and the basis at
+        most q*r.  A staircase break with no reducible pair is a pair out
+        of lm order, which the descent check then reports.
+        """
         self._check_elements()
-        ring, q = self.ring, self.q
-        for i, di in enumerate(self.leads):
-            if ring.unit_part(di.lc) != 1:
-                raise ValidationFailed(f"element {i} has unnormalized lc {di.lc}")
-            for j, dj in enumerate(self.leads):
-                if j != i and dj.lm.divides(di.lm) and dj.ord >= di.ord:
+        ring, order = self.ring, self.order
+        leads = self.leads
+        prev: dict[int, int] = {}  # position -> index of its last element so far
+        for i, d in enumerate(leads):
+            if d.lc != ring.p ** (ring.r - d.ord):
+                raise ValidationFailed(f"element {i} has unnormalized lc {d.lc}")
+            if (j := prev.get(d.lpos)) is not None:
+                e = leads[j]
+                if d.deg <= e.deg and d.ord >= e.ord:
+                    raise ValidationFailed(f"element {j} is reducible by element {i}")
+                if d.deg >= e.deg and d.ord <= e.ord:
                     raise ValidationFailed(f"element {i} is reducible by element {j}")
-            if i + 1 < len(self.leads):
-                nxt = self.leads[i + 1]
-                if self.order.compare(di.lm, nxt.lm) <= 0:
-                    raise ValidationFailed("elements not strictly descending by lm")
-            for j in range(i):
-                dj = self.leads[j]
-                if dj.lpos == di.lpos and not (dj.deg > di.deg and dj.ord > di.ord):
-                    raise ValidationFailed(
-                        f"same-position monotonicity violated at {j}, {i}"
-                    )
-        if len(self.elements) > q * ring.r:
-            raise ValidationFailed(f"basis has {len(self.elements)} > q*r elements")
+            prev[d.lpos] = i
+            if i and order.compare(leads[i - 1].lm, d.lm) <= 0:
+                raise ValidationFailed("elements not strictly descending by lm")
 
 
 def _check_inputs(generators: list[PolyVec]) -> tuple[Zpr, int]:

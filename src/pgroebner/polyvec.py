@@ -636,8 +636,12 @@ def combine(coeffs: Sequence[Poly], vectors: Sequence[PolyVec]) -> PolyVec:
 # Larger exponents are rejected.
 MAX_EXPONENT = 100_000
 
-# [0-9], not \d: \d and int() also take other scripts' digits, and int() underscores
-_TERM_RE = re.compile(r"^(?:([0-9]+)\*?)?(x(?:\^([0-9]+))?)?$")
+# [0-9], not \d: \d and int() also take other scripts' digits, and int() underscores.
+# A term is c, c*, c*x^k or cx^k, with c and ^k optional around x; the
+# lookahead keeps it nonempty, and every term after the first needs its sign.
+_TERM = r"([+-]?)(?=[0-9x])(?:([0-9]+)\*?)?(x(?:\^([0-9]+))?)?"
+_TERM_RE = re.compile(_TERM)
+_POLY_RE = re.compile(rf"{_TERM}(?:(?=[+-]){_TERM})*")
 
 
 def _clean(text: str) -> str:
@@ -649,36 +653,17 @@ def parse_poly(ring: Zpr, text: str) -> Poly:
     s = _clean(text)
     if not s:
         raise ParseError("empty polynomial")
-    chunks = re.findall(r"[+-]|[^+-]+", s)
-    sign = 1
-    expect_term = True
+    if not _POLY_RE.fullmatch(s):
+        raise ParseError(f"bad term in {text!r}")
     coeffs: dict[int, int] = {}
-    if chunks and chunks[0] in "+-":
-        sign = -1 if chunks[0] == "-" else 1
-        chunks = chunks[1:]
-    for chunk in chunks:
-        if chunk in "+-":
-            if expect_term:
-                raise ParseError(f"dangling sign in {text!r}")
-            sign = -1 if chunk == "-" else 1
-            expect_term = True
-            continue
-        if not expect_term:
-            raise ParseError(f"missing separator in {text!r}")
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group(1) is None and m.group(2) is None):
-            raise ParseError(f"bad term {chunk!r} in {text!r}")
+    for sign, c, x, k in _TERM_RE.findall(s):
         try:
-            c = int(m.group(1)) if m.group(1) is not None else 1
-            alpha = 0 if m.group(2) is None else int(m.group(3) or 1)
+            c, alpha = int(c or 1), (int(k or 1) if x else 0)
         except ValueError as exc:  # more digits than int() accepts
-            raise ParseError(f"number too long in term {chunk[:20]!r}...") from exc
+            raise ParseError(f"number too long in {s[:20]!r}...") from exc
         if alpha > MAX_EXPONENT:
-            raise ParseError(f"exponent above {MAX_EXPONENT} in term {chunk[:20]!r}")
-        coeffs[alpha] = coeffs.get(alpha, 0) + sign * c
-        expect_term = False
-    if expect_term:
-        raise ParseError(f"dangling sign in {text!r}")
+            raise ParseError(f"exponent above {MAX_EXPONENT} in {s[:20]!r}")
+        coeffs[alpha] = coeffs.get(alpha, 0) + (-c if sign == "-" else c)
     top = max(coeffs, default=-1)
     return Poly(ring, (coeffs.get(k, 0) for k in range(top + 1)))
 

@@ -1,13 +1,59 @@
-"""The Monomial-keyed dict arithmetic that `PolyVec` used before it was packed.
+"""The Monomial-keyed dict arithmetic that `PolyVec` used before it was packed,
+and the chunk-by-chunk polynomial parser that the one-regex grammar replaced.
 
-Kept as the reference of the packed blocks: `tests/test_polyvec.py` runs
-both on seeded vectors and requires the same terms, leading data and
-values.  A `DictVec` maps monomials to nonzero canonical residues.
+Kept as references: `tests/test_polyvec.py` runs both implementations on
+seeded inputs and requires the same terms, leading data and values, and
+the same accepted strings with the same coefficients.  A `DictVec` maps
+monomials to nonzero canonical residues.
 """
 
 from __future__ import annotations
 
-from pgroebner import Monomial, MonomialOrder, Poly, PolyVec, ZeroVector
+import re
+
+from pgroebner import Monomial, MonomialOrder, ParseError, Poly, PolyVec, ZeroVector
+from pgroebner.polyvec import MAX_EXPONENT
+
+_TERM_RE = re.compile(r"^(?:([0-9]+)\*?)?(x(?:\^([0-9]+))?)?$")
+
+
+def parse_poly(ring, text: str) -> Poly:
+    """The chunk parser: split at signs, then match each term on its own."""
+    s = re.sub(r"\s+", "", text).replace("\u2212", "-")
+    if not s:
+        raise ParseError("empty polynomial")
+    chunks = re.findall(r"[+-]|[^+-]+", s)
+    sign = 1
+    expect_term = True
+    coeffs: dict[int, int] = {}
+    if chunks and chunks[0] in "+-":
+        sign = -1 if chunks[0] == "-" else 1
+        chunks = chunks[1:]
+    for chunk in chunks:
+        if chunk in "+-":
+            if expect_term:
+                raise ParseError(f"dangling sign in {text!r}")
+            sign = -1 if chunk == "-" else 1
+            expect_term = True
+            continue
+        if not expect_term:
+            raise ParseError(f"missing separator in {text!r}")
+        m = _TERM_RE.match(chunk)
+        if not m or (m.group(1) is None and m.group(2) is None):
+            raise ParseError(f"bad term {chunk!r} in {text!r}")
+        try:
+            c = int(m.group(1)) if m.group(1) is not None else 1
+            alpha = 0 if m.group(2) is None else int(m.group(3) or 1)
+        except ValueError as exc:  # more digits than int() accepts
+            raise ParseError(f"number too long in term {chunk[:20]!r}...") from exc
+        if alpha > MAX_EXPONENT:
+            raise ParseError(f"exponent above {MAX_EXPONENT} in term {chunk[:20]!r}")
+        coeffs[alpha] = coeffs.get(alpha, 0) + sign * c
+        expect_term = False
+    if expect_term:
+        raise ParseError(f"dangling sign in {text!r}")
+    top = max(coeffs, default=-1)
+    return Poly(ring, (coeffs.get(k, 0) for k in range(top + 1)))
 
 
 class DictVec:

@@ -155,6 +155,39 @@ class TestGb:
         assert code == 2 and not out and "bad term" in err
 
     @pytest.mark.parametrize(
+        "spell",
+        [lambda v: v.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                             "\u0665\u0666\u0667\u0668\u0669")),
+         lambda v: "0_" + v],
+        ids=["arabic-indic", "underscore"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gb", "--ring", "=9", "GEN"],
+            ["gb", "--p", "=3", "--r", "2", "GEN"],
+            ["gb", "--p", "3", "--r", "=2", "GEN"],
+            ["gb", "--ring", "9", "--max-steps", "=1000", "GEN"],
+            ["lrr", "--ring", "9", "--seq", "1,4,4,7,7", "--max-enum", "=1000"],
+            ["check", "--ring", "9", "GB", "--trials", "=10"],
+            ["check", "--ring", "9", "GB", "--seed", "=7"],
+        ],
+        ids=["ring", "p", "r", "max-steps", "max-enum", "trials", "seed"],
+    )
+    def test_integer_options_take_ascii_decimal_digits_only(
+        self, capsys, gen_file, gb_file, argv, spell
+    ):
+        # the '='-marked value runs as plain digits; int() would read it respelled too
+        files = {"GB": gb_file, "GEN": gen_file}
+        plain = [files.get(a, a.lstrip("=")) for a in argv]
+        assert run(capsys, plain)[0] == 0
+        k = next(i for i, a in enumerate(argv) if a.startswith("="))
+        spelled = plain[:k] + [spell(plain[k])] + plain[k + 1 :]
+        assert int(spelled[k]) == int(plain[k])
+        code, out, err = run(capsys, spelled)
+        assert code == 2 and not out and "invalid" in err
+
+    @pytest.mark.parametrize(
         "ring, digest",
         [
             ("2", "c21c10cc2e76b5391022d1f821b13987b515c6fca8309ce3f21ec8ab331890b4"),

@@ -772,6 +772,145 @@ class TestGroebnerBasisValidation:
         assert len(G) <= G.q * G.ring.r
 
 
+def _reference_validate(elements, order):
+    """The pairwise validation the staircase walk replaced: every pair is
+    scanned for reducibility and for same-position monotonicity, adjacent
+    lms for descent, and the size is held against q*r."""
+    ring, q = elements[0].ring, elements[0].q
+    leads = [lead_data(g, order) for g in elements]
+    for i, di in enumerate(leads):
+        if ring.unit_part(di.lc) != 1:
+            raise ValidationFailed(f"element {i} has unnormalized lc {di.lc}")
+        for j, dj in enumerate(leads):
+            if j != i and dj.lm.divides(di.lm) and dj.ord >= di.ord:
+                raise ValidationFailed(f"element {i} is reducible by element {j}")
+        if i + 1 < len(leads) and order.compare(di.lm, leads[i + 1].lm) <= 0:
+            raise ValidationFailed("elements not strictly descending by lm")
+        for j in range(i):
+            dj = leads[j]
+            if dj.lpos == di.lpos and not (dj.deg > di.deg and dj.ord > di.ord):
+                raise ValidationFailed(f"same-position monotonicity violated at {j}, {i}")
+    if len(elements) > q * ring.r:
+        raise ValidationFailed(f"basis has {len(elements)} > q*r elements")
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except ValidationFailed as exc:
+        return str(exc)
+    return None
+
+
+def _staircase_mutants(rng, ring, q, order, count):
+    """Element lists made from one completed basis: elements duplicated,
+    swapped, scaled by p, scaled by a unit or added, half of them re-sorted
+    descending by lm so that the staircase rather than the descent decides."""
+    gens = []
+    while not gens:
+        gens = [
+            g for g in (
+                PolyVec(ring, q, {Monomial(rng.randrange(4), rng.randrange(1, q + 1)):
+                                  rng.randrange(ring.modulus) for _ in range(rng.randrange(1, 5))})
+                for _ in range(rng.randint(1, 4))
+            ) if not g.is_zero()
+        ]
+    base = list(buchberger(gens, order).elements)
+    for _ in range(count):
+        els = list(base)
+        for _ in range(rng.randint(0, 2)):
+            i, j = rng.randrange(len(els)), rng.randrange(len(els))
+            kind = rng.randrange(5)
+            if kind == 0:
+                els.insert(rng.randrange(len(els) + 1), els[i])
+            elif kind == 1:
+                els[i], els[j] = els[j], els[i]
+            elif kind == 2 and ring.p * els[i].lc(order) % ring.modulus:
+                els[i] = els[i].scale(ring.p)
+            elif kind == 3:
+                els[i] = els[i].scale(_unit(rng, ring))
+            elif kind == 4:
+                added = rng.choice([els[i].term_mul(1, rng.randrange(3)), els[i] + els[j]])
+                if not added.is_zero():
+                    els.insert(rng.randrange(len(els) + 1), normalize_lc(added, order))
+        if rng.randrange(2):
+            els.sort(key=lambda g: order.key(g.lm(order)), reverse=True)
+        yield els
+
+
+class TestStaircaseValidation:
+    """`validate`'s one staircase walk against the pairwise scans it replaced.
+
+    Over Z_4, Z_8, Z_9 and Z_27 with q = 1-4 under TOP and POT, both accept
+    and reject the same lists, and every reason the walk gives is true of
+    the list it rejects.
+    """
+
+    RINGS = (Zpr(2, 2), Zpr(2, 3), Z9, Zpr(3, 3))
+
+    def test_walk_equals_the_pairwise_reference(self):
+        rng = random.Random(1801)
+        kinds = Counter()
+        for ring in self.RINGS:
+            for q in (1, 2, 3, 4):
+                for order in (TOP, POT):
+                    for _ in range(4):
+                        for els in _staircase_mutants(rng, ring, q, order, 30):
+                            got = _verdict(GroebnerBasis, order, tuple(els))
+                            assert (got is None) == (_verdict(_reference_validate, els, order) is None)
+                            kinds[_true_reason(got, els, order)] += 1
+        assert sum(kinds.values()) == 3840
+        assert set(kinds) == {"accept", "lc", "reducible", "descent"}
+        assert min(kinds.values()) >= 100
+
+    def test_equal_lms_are_reducible_in_either_order(self):
+        # sorting keeps equal lms in input order; either way one element is reducible
+        x, x3 = vec(Z9, "[x]"), vec(Z9, "[3x]")
+        with pytest.raises(ValidationFailed, match="^element 0 is reducible by element 1$"):
+            GroebnerBasis.from_elements([x3, x], TOP)
+        with pytest.raises(ValidationFailed, match="^element 1 is reducible by element 0$"):
+            GroebnerBasis.from_elements([x, x3], TOP)
+
+    def test_wide_staircase_module(self):
+        # q = 300 over Z_8: at position k, x^3 + c, then 2x^2 + 2c, and 4x + 4c if 3 | k
+        ring, q = Zpr(2, 3), 300
+        els = [
+            PolyVec(ring, q, {Monomial(3 - e, k): 2**e, Monomial(0, k): 2**e * (k % 7 + 1)})
+            for k in range(1, q + 1)
+            for e in range(3 if k % 3 == 0 else 2)
+        ]
+        for order in (TOP, POT):
+            G = GroebnerBasis.from_elements(els, order)
+            assert len(G) == 700
+            assert _verdict(_reference_validate, list(G.elements), order) is None
+            # a copy of the element below the top at one position breaks the staircase
+            bad = list(G.elements)
+            i = next(i for i, d in enumerate(G.leads) if d.lpos == 150 and d.ord == 2)
+            bad.insert(i, bad[i])
+            reason = _verdict(GroebnerBasis, order, tuple(bad))
+            assert reason == f"element {i} is reducible by element {i + 1}"
+
+
+def _true_reason(reason, els, order):
+    """The kind of a walk's verdict, asserting that its reason holds for els."""
+    if reason is None:
+        return "accept"
+    leads = [lead_data(g, order) for g in els]
+    ring = els[0].ring
+    if "unnormalized" in reason:
+        i = int(reason.split()[1])
+        assert leads[i].lc != ring.p ** (ring.r - leads[i].ord)
+        return "lc"
+    if "reducible" in reason:
+        words = reason.split()
+        a, b = leads[int(words[1])], leads[int(words[-1])]
+        assert b.lm.divides(a.lm) and b.ord >= a.ord
+        return "reducible"
+    assert reason == "elements not strictly descending by lm"
+    assert any(order.compare(x.lm, y.lm) <= 0 for x, y in zip(leads, leads[1:]))
+    return "descent"
+
+
 class TestCheckPlm:
     def test_minimal_basis_passes(self):
         G = buchberger(z5_generators(), TOP)

@@ -25,7 +25,7 @@ from pgroebner import (
 )
 from pgroebner.polyvec import BLOCK, _layout, combine
 from conftest import Z5, Z9, vec
-from polyvec_reference import DictVec, combine as dict_combine
+from polyvec_reference import DictVec, combine as dict_combine, parse_poly as chunk_parse_poly
 
 monomials = st.builds(
     Monomial,
@@ -545,6 +545,38 @@ class TestTextGrammar:
             parse_matrix(Z9, "[1, x]\n[1]\n")
         with pytest.raises(ParseError):
             parse_matrix(Z9, "# only a comment\n")
+
+    def test_grammar_matches_chunk_parser(self):
+        # seeded strings, half of them built from term pieces and half free
+        # characters, each with the non-ASCII digit, the underscore, the minus
+        # sign U+2212, '*' and spaces the grammar must refuse or skip
+        rng = random.Random(1801)
+        signs = ["+"] * 12 + ["-", "\u2212", " - ", "++", "+-"]
+        coeffs = ["", "", "3", "12", "0", "007", "5 4"] * 4 + ["\u0663", "1_0", "9" * 5000]
+        stars = [""] * 8 + ["*", "**"]
+        xs = ["", "x", "x^2", "x^10", " x^ 2", "x^99"] * 4 + [
+            "x^", "x^\u0663", "x^1_0", "xx", "x^100001"]
+        chars = "0123456789xx^^++--**  \u2212\u0663_y"
+        verdicts = {True: 0, False: 0}
+        for t in range(20000):
+            if t % 2:
+                text = "".join(rng.choice(chars) for _ in range(rng.randrange(9)))
+            else:
+                text = "".join(
+                    rng.choice(signs) + rng.choice(coeffs) + rng.choice(stars) + rng.choice(xs)
+                    for _ in range(rng.randint(1, 4))
+                ) + rng.choice(["", "", "", " ", " ", "+"])
+            try:
+                ref = chunk_parse_poly(Z9, text)
+            except ParseError:
+                ref = None
+            try:
+                got = parse_poly(Z9, text)
+            except ParseError:
+                got = None
+            assert got == ref, text[:40]
+            verdicts[ref is not None] += 1
+        assert min(verdicts.values()) > 3000
 
     @given(st.lists(st.integers(min_value=0, max_value=8), max_size=8))
     def test_poly_round_trip(self, coeffs):
