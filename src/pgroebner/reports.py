@@ -66,20 +66,31 @@ def _poly_lines(prefix: str, polys):
         yield prefix + text[1:].replace("\n" + prefix + "+", "\n" + prefix)
 
 
-_HUNDRED = ",".join(f"#{d:02d}" for d in range(100))  # "#00,#01,...,#99"
+_DIGITS = "0123456789"
 
 
-def _nonzero_digits(p: int) -> str:
-    """",".join(map(str, range(1, p))), built a hundred numbers at a time.
+def _nonzero_digits(p: int, prefix: str = "") -> str:
+    """prefix + ",".join(map(str, range(1, p))), joined once from decimal blocks.
 
-    Each full hundred 100k..100k+99 is one replace of "#" by str(k) in
-    _HUNDRED: at p = 65521 that is about ten times faster than formatting
-    the numbers one by one.
+    The template for width w holds ",#s" for every w-digit suffix s in
+    ascending order; it is ten replaces of the template for width w - 1 and
+    is only built while 10^w < p.  The numbers k*10^w .. (k+1)*10^w - 1,
+    k = 1..9, are one replace of "#" by str(k) in it, and since every entry
+    of the template is w + 2 characters, the block holding p - 1 is the
+    template cut after its first p - k*10^w entries.  At p = 65521 that is
+    about 80 C-level string operations in place of formatting 65520 numbers.
     """
-    head = ",".join(map(str, range(1, min(p, 100))))
-    hundreds = [_HUNDRED.replace("#", str(k)) for k in range(1, p // 100)]
-    tail = ",".join(map(str, range(max(p // 100 * 100, 100), p)))
-    return ",".join(filter(None, [head, *hundreds, tail]))
+    pieces = [prefix + ",".join(_DIGITS[1:p])]
+    template, width = ",#", 0
+    while 10 ** (width + 1) < p:
+        template = "".join(template.replace("#", "#" + d) for d in _DIGITS)
+        width += 1
+        for k in range(1, 10):
+            left = p - k * 10**width
+            if left <= 0:
+                break
+            pieces.append(template[:left * (width + 2)].replace("#", str(k)))
+    return "".join(pieces)
 
 
 def format_monomial(m: Monomial) -> str:
@@ -238,7 +249,7 @@ def render_lrr_doc(doc: LrrDoc) -> str:
         f"length: {doc.length}",
         f"companion: {format_poly(doc.companion)}",
         f"pivot: {doc.pivot_index + 1}",
-        f"pivot-digits: {_nonzero_digits(ring.p)}",
+        _nonzero_digits(ring.p, "pivot-digits: "),
     ]
     for d, budget in doc.params:
         lines.append(f"param: {format_poly(d)} budget={budget}")
@@ -350,22 +361,19 @@ def render_p_basis_human(basis: PBasis) -> str:
 
 
 def parametrization_template(sol: LrrSolution) -> list[str]:
-    ring = sol.ring
-    nonzero = _nonzero_digits(ring.p)
-    digit_set = "{0," + nonzero + "}"
+    nonzero = _nonzero_digits(sol.ring.p)  # copied into each line: cheaper than building again
     pieces = [f"q0*({format_poly(sol.shortest)})"]
-    constraints = [f"q0: nonzero digit in {{{nonzero}}}"]
+    constraints = [f"  q0: nonzero digit in {{{nonzero}}}"]
     for i, (d, budget) in enumerate(sol.param_basis, start=1):
         pieces.append(f"q{i}*({format_poly(d)})")
         constraints.append(
-            f"q{i}: polynomial with coefficients in {digit_set}, deg <= {budget}"
+            f"  q{i}: polynomial with coefficients in {{0,{nonzero}}}, deg <= {budget}"
         )
-    lines = ["all shortest recurrences: " + " + ".join(pieces)]
-    lines += [f"  {c}" for c in constraints]
-    return lines
+    return ["all shortest recurrences: " + " + ".join(pieces), *constraints]
 
 
 def render_lrr_human(sol: LrrSolution, monic: list[Poly] | None) -> str:
+    """The text report; `monic` is the monic set, or every unit-lc recurrence under --all."""
     lines = [
         f"sequence {','.join(str(v) for v in sol.sequence)} over {sol.ring}",
         f"shortest recurrence: {format_poly(sol.shortest)}  (length {sol.length})",
@@ -374,6 +382,8 @@ def render_lrr_human(sol: LrrSolution, monic: list[Poly] | None) -> str:
     if monic is None:
         lines.append("monic set: enumeration exceeds the configured cap")
     else:
-        lines.append(f"monic shortest recurrences ({len(monic)}):")
+        kind = "monic" if all(f.is_monic() for f in monic) else "unit-leading-coefficient"
+        lines.append(f"{kind} shortest recurrences ({len(monic)}):")
         lines += _poly_lines("  ", monic)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the whole text once more
+    return "\n".join(lines)

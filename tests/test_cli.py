@@ -304,6 +304,7 @@ class TestLrrCommand:
         )
         assert code == 0
         assert "\nmonic-count: 1\nmonic: x^2+65520x+65520\n" in out
+        assert len(out) == 382198
         # the pivot digits are every nonzero digit 1..p-1
         assert f"\npivot-digits: {','.join(map(str, range(1, 65521)))}\n" in out
         assert render_lrr_doc(parse_lrr_doc(out)) == out
@@ -331,9 +332,21 @@ class TestLrrCommand:
                     f"monic: {pgroebner.format_poly(f)}" for f in items
                 )
 
-    def test_hundred_block_digits_equal_plain_join(self):
-        for p in [*range(2, 1201), 9973, 10007, 65521]:
-            assert _nonzero_digits(p) == ",".join(map(str, range(1, p))), p
+    def test_decimal_block_digits_equal_plain_join(self):
+        def is_prime(n):
+            return all(n % d for d in range(2, int(n**0.5) + 1))
+
+        # the primes next to each block edge k*10^w end inside a cut block
+        edges = set()
+        for w in range(1, 5):
+            for k in range(1, 10):
+                edges.add(next(n for n in range(k * 10**w - 1, 1, -1) if is_prime(n)))
+                edges.add(next(n for n in range(k * 10**w + 1, 10**6) if is_prime(n)))
+        assert {1999, 2003, 9973, 10007, 59999, 60013} <= edges
+        for p in sorted({*range(2, 1201), *(e for e in edges if e <= 65521), 65521}):
+            plain = ",".join(map(str, range(1, p)))
+            assert _nonzero_digits(p) == plain, p
+            assert _nonzero_digits(p, "pivot-digits: ") == "pivot-digits: " + plain, p
 
     def test_structured_round_trip(self, capsys):
         code, out, _ = run(
@@ -375,6 +388,21 @@ class TestLrrCommand:
         code, out, _ = run(capsys, ["lrr", "--ring", "5", "--seq", "1,4,3,3,2", "--all"])
         assert code == 0
         assert "4x^2+3x+1" in out  # 4 * (x^2+2x+4) mod 5
+
+    def test_all_flag_names_a_list_with_nonmonic_entries(self, capsys):
+        code, out, _ = run(capsys, ["lrr", "--ring", "9", "--seq", "1,4,4,7,7", "--all"])
+        assert code == 0
+        assert "\nunit-leading-coefficient shortest recurrences (18):\n  2x^2+1\n" in out
+        assert "monic shortest recurrences" not in out
+
+    @pytest.mark.parametrize("args, listed", [
+        (["--ring", "9", "--seq", "1,4,4,7,7"], "(3):\n  x^2+3x+2\n  x^2+5\n  x^2+6x+8\n"),
+        (["--ring", "2", "--seq", "0,1", "--all"], "(4):\n  x^2\n  x^2+x\n  x^2+1\n  x^2+x+1\n"),
+    ], ids=["z9-monic", "z2-all"])
+    def test_all_monic_lists_keep_the_monic_label(self, capsys, args, listed):
+        code, out, _ = run(capsys, ["lrr", *args])
+        assert code == 0
+        assert out.endswith("\nmonic shortest recurrences " + listed)
 
 
 class TestCheckCommand:
