@@ -41,17 +41,16 @@ and ord rising together, so with each lc normalized to p^(r-ord) only the
 top element can have lc 1; the tail terms it covers are cancelled (unique
 quotients, so a canonical step; full tail reduction is not performed).
 
-During completion the reducer is read from an index rather than found by
-scanning the basis.  The live basis files each element, as it is
-appended, in a bucket for its leading position, sorted by descending
-degree and then by ascending index.  A reducer of x^alpha*e_pos must share
-its position and have degree <= alpha, and the scan keeps the first one of
-highest degree whose ord is high enough.  Walking the bucket from the first
-degree <= alpha and taking the first element with a high enough ord finds
-that same element, ties included.  The whole bucket lists a new
-element's pairs.  Plain lists passed to `reduce_step`, `normal_form`,
-`is_groebner` or `module_equal` are still scanned, and the scan stays the
-reference the tests compare the index against.  The finish needs neither.
+Reducers are read from an index, not found by scanning.  The index files
+each element, as it is appended, in a bucket for its leading position,
+sorted by descending degree and then by ascending index.  A reducer of
+x^alpha*e_pos shares its position and has degree <= alpha, and the one
+chosen is the first of highest degree whose ord is high enough: the first
+such entry of the bucket from degree alpha down, ties included.  During
+completion the live basis is the index, and the whole bucket lists a new
+element's pairs.  `reduce_step` and `normal_form` index a plain list, or
+an index made for the other order, before they reduce; `is_groebner`
+indexes its basis once.  The finish needs no index.
 """
 
 from __future__ import annotations
@@ -119,7 +118,7 @@ def _quotient(ring: Zpr, target: int, by: int, vb: int) -> int:
 
 
 class _ReducerIndex(list):
-    """The live basis of one completion, indexed by leading position.
+    """Reducers indexed by leading position: a live basis, or a list `_indexed` files.
 
     The elements in the order they were appended; `append` also files each
     in its position's bucket as (-deg, index, ord, element), kept sorted
@@ -138,7 +137,11 @@ class _ReducerIndex(list):
         super().append(g)
 
     def pick(self, mono: Monomial, min_ord: int) -> PolyVec | None:
-        """The element `_pick_reducer`'s scan would return, read from the buckets."""
+        """Largest-lm element whose lm divides mono and whose ord is >= min_ord; ties by index.
+
+        Every such lm shares mono's position, so the largest is the one of
+        highest degree.
+        """
         alpha, pos = mono
         bucket = self.buckets.get(pos, [])
         # (-alpha,) sorts before every entry of degree alpha: start there
@@ -148,26 +151,14 @@ class _ReducerIndex(list):
         return None
 
 
-def _pick_reducer(
-    mono: Monomial, min_ord: int, reducers: list[PolyVec], order: MonomialOrder
-) -> PolyVec | None:
-    """Largest-lm reducer whose lm divides mono and whose ord is >= min_ord; ties by index.
-
-    Every candidate lm shares mono's position, so under either order the
-    largest one is the one of highest degree.  A zero reducer raises ZeroVector.
-    A `_ReducerIndex` made for this order answers from its buckets; any
-    other list is scanned, which is the reference the index must match.
-    """
-    if type(reducers) is _ReducerIndex and reducers.order is order:
-        return reducers.pick(mono, min_ord)
-    best, best_alpha = None, -1
-    alpha, pos = mono
-    for g in reducers:
-        _, (g_alpha, g_pos), g_ord = g.lead(order)
-        # strict, so the first index wins ties
-        if g_pos == pos and best_alpha < g_alpha <= alpha and g_ord >= min_ord:
-            best, best_alpha = g, g_alpha
-    return best
+def _indexed(F: list[PolyVec], order: MonomialOrder) -> _ReducerIndex:
+    """F if it is an index for order, else a new index of F; a zero element raises ZeroVector."""
+    if isinstance(F, _ReducerIndex) and F.order is order:
+        return F
+    index = _ReducerIndex(order)
+    for g in F:
+        index.append(g)
+    return index
 
 
 def reduce_step(f: PolyVec, F: list[PolyVec], order: MonomialOrder) -> PolyVec:
@@ -180,7 +171,7 @@ def reduce_step(f: PolyVec, F: list[PolyVec], order: MonomialOrder) -> PolyVec:
     if f.is_zero():
         raise ZeroVector("cannot reduce the zero vector")
     c, m, o = f.lead(order)
-    g = _pick_reducer(m, o, F, order)
+    g = _indexed(F, order).pick(m, o)
     if g is None:
         raise NotReducible("leading term not cancellable by the given reducers")
     gc, gm, go = g.lead(order)
@@ -192,6 +183,8 @@ def reduce_step(f: PolyVec, F: list[PolyVec], order: MonomialOrder) -> PolyVec:
 
 def normal_form(f: PolyVec, F: list[PolyVec], order: MonomialOrder) -> PolyVec:
     """Iterate reduce_step until the result is zero or minimal with respect to F."""
+    if not f.is_zero():
+        F = _indexed(F, order)
     while not f.is_zero():
         try:
             f = reduce_step(f, F, order)
@@ -467,15 +460,16 @@ def minimalize(G: list[PolyVec], order: MonomialOrder) -> GroebnerBasis:
 def is_groebner(G: list[PolyVec], order: MonomialOrder) -> bool:
     """Buchberger criterion: every S-pair and annihilator pair reduces to zero."""
     ring, _ = _check_inputs(G)
+    index = _indexed(G, order)
     for i, g in enumerate(G):
         if g.ord(order) < ring.r:
-            if not normal_form(_annihilator_vector(g, order), G, order).is_zero():
+            if not normal_form(_annihilator_vector(g, order), index, order).is_zero():
                 return False
         for j in range(i + 1, len(G)):
             if g.lpos(order) != G[j].lpos(order):
                 continue
             vec = _s_vector(g, G[j], order)
-            if not normal_form(vec, G, order).is_zero():
+            if not normal_form(vec, index, order).is_zero():
                 return False
     return True
 

@@ -15,8 +15,10 @@ vectors share a leading position and order follows from the validated
 staircase of the basis (see `build_p_basis`).  The sequence is
 p-linearly independent, so its length N = sum of the betas is an invariant
 of the module (its p-dimension), independent of the monomial order.  Every
-module element then has a unique digit-coefficient representation,
-recovered here by greedy leading-digit peeling.
+module element then has a unique digit-coefficient representation.  Since
+a leading position and order name at most one vector, each digit is read
+from the vector filed under the residual's leading position and order,
+one digit per step (see `_represent`).
 
 beta_j is the drop from ord(g_j) to the order of the next element sharing
 its leading position, or ord(g_j) when there is none.
@@ -132,51 +134,36 @@ def p_dim(basis: PBasis) -> int:
 def _represent(
     f: PolyVec, vectors: tuple[PolyVec, ...] | list[PolyVec], order: MonomialOrder
 ) -> tuple[Poly, ...]:
-    """Greedy digit-coefficient representation of f over a p-basis fragment.
+    """Digit-coefficient representation of f over a p-basis fragment.
 
-    At each step the leading coefficient of the residual is split into
-    digits along the p-power layers offered by the vectors whose leading
-    monomial divides the residual's; the layers are distinct, so every
-    digit is forced and the leading monomial strictly decreases.
+    The vectors are filed by (leading position, order); a repeated key
+    raises ValidationFailed, since no p-basis has one.  A residual lead c*X
+    of order o can only be cancelled by the vector v filed at (X.pos, o),
+    and only if deg v <= deg X.  With e = r - o, c and lc(v) are units times
+    p^e, so the digit theta = (c / p^e) * (lc(v) / p^e)^-1 mod p makes
+    theta*x^s*v agree with the lead mod p^(e+1): subtracting it leaves X
+    with a lower order, or moves the lead below X.  Each (vector, shift) is
+    thus met at most once.
     """
-    ring = f.ring
+    ring, p = f.ring, f.ring.p
+    at: dict[tuple[int, int], int] = {}
+    for i, v in enumerate(vectors):
+        _, m, o = v.lead(order)
+        if at.setdefault((m.pos, o), i) != i:
+            raise ValidationFailed(f"vectors {at[m.pos, o]} and {i} share lpos and ord")
     digits: list[dict[int, int]] = [{} for _ in vectors]
-    work = f
-    while not work.is_zero():
-        c, X = work.lt(order)
-        cands = [
-            (ring.r - v.ord(order), i, v)
-            for i, v in enumerate(vectors)
-            if v.lm(order).divides(X)
-        ]
-        if not cands:
-            raise NotInModule(f"leading term at {X} has no matching basis vector")
-        cands.sort()
-        assert len({e for e, _, _ in cands}) == len(cands)
-        rem = c
-        used: list[tuple[int, int, int]] = []
-        for e, i, v in cands:
-            if rem == 0:
-                break
-            if rem % ring.p**e != 0:
-                raise NotInModule(f"coefficient {c} at {X} is not digit-expressible")
-            u = v.lc(order) // ring.p**e  # lc = u * p^e, e = r - ord from the lead cache
-            theta = ((rem // ring.p**e) % ring.p) * pow(u, -1, ring.p) % ring.p
-            if theta:
-                rem = ring.sub(rem, theta * u * ring.p**e)
-                used.append((i, theta, X.alpha - v.lm(order).alpha))
-        if rem != 0:
-            raise NotInModule(f"coefficient {c} at {X} is not digit-expressible")
-        for i, theta, shift in used:
-            assert shift not in digits[i]
-            digits[i][shift] = theta
-            work = work.sub_term_mul(vectors[i], theta, shift)
-        assert work.is_zero() or order.compare(work.lm(order), X) < 0
-    out = []
-    for d in digits:
-        top = max(d, default=-1)
-        out.append(Poly(ring, (d.get(k, 0) for k in range(top + 1))))
-    return tuple(out)
+    while not f.is_zero():
+        c, X, o = f.lead(order)
+        i = at.get((X.pos, o))
+        if i is None or (s := X.alpha - vectors[i].deg(order)) < 0:
+            raise NotInModule(f"leading term {c} at {X} is not digit-expressible")
+        pe = p ** (ring.r - o)
+        theta = ring.mul(c // pe, pow(vectors[i].lc(order) // pe, -1, p)) % p
+        digits[i][s] = theta
+        f = f.sub_term_mul(vectors[i], theta, s)
+    return tuple(
+        Poly(ring, (d.get(k, 0) for k in range(max(d, default=-1) + 1))) for d in digits
+    )
 
 
 def p_represent(f: PolyVec, basis: PBasis) -> tuple[Poly, ...]:
@@ -185,7 +172,7 @@ def p_represent(f: PolyVec, basis: PBasis) -> tuple[Poly, ...]:
     Accepts any vector of the ambient space; raises NotInModule when f is
     not in the spanned module.  The returned coefficients are polynomials
     with digits in {0, ..., p-1} and the expansion is verified exactly
-    before returning.
+    before returning; a basis for which either fails raises ValidationFailed.
     """
     ring = basis.ring
     if f.ring != ring:
@@ -193,7 +180,8 @@ def p_represent(f: PolyVec, basis: PBasis) -> tuple[Poly, ...]:
     if f.q != basis.vectors[0].q:
         raise DimensionMismatch(f"q={f.q} vs q={basis.vectors[0].q}")
     coeffs = _represent(f, basis.vectors, basis.order)
-    assert combine(coeffs, basis.vectors) == f
+    if combine(coeffs, basis.vectors) != f:
+        raise ValidationFailed("digit expression is inexact")
     return coeffs
 
 

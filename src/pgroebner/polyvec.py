@@ -128,7 +128,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, ring: Zpr, c: int, alpha: int) -> "Poly":
-        return cls(ring, (0,) * alpha + (c,))
+        return cls(ring, (c,)).shift(alpha)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -182,10 +182,12 @@ class Poly:
         return Poly(self.ring, (c * a for a in self.coeffs))
 
     def shift(self, gamma: int) -> "Poly":
-        """Multiply by x^gamma."""
+        """Multiply by x^gamma; a term that would fall below x^0 raises DimensionMismatch."""
         if self.is_zero():
             return self
-        return Poly(self.ring, (0,) * gamma + self.coeffs)
+        if gamma < 0 and any(self.coeffs[:-gamma]):
+            raise DimensionMismatch(f"x^{gamma} takes a term below x^0")
+        return Poly(self.ring, (0,) * gamma + self.coeffs[max(0, -gamma) :])
 
     def __eq__(self, other: object) -> bool:
         return (

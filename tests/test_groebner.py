@@ -35,7 +35,6 @@ from pgroebner import (
 from pgroebner.groebner import (
     _cancel_unit_tails,
     _minimalize_elements,
-    _pick_reducer,
     _quotient,
     _ReducerIndex,
     lead_data,
@@ -282,6 +281,60 @@ def _seeded_basis(rng, ring, q, size):
     return out
 
 
+def _pick_reducer(
+    mono: Monomial, min_ord: int, reducers: list[PolyVec], order
+) -> PolyVec | None:
+    """Largest-lm reducer whose lm divides mono and whose ord is >= min_ord; ties by index.
+
+    Every candidate lm shares mono's position, so under either order the
+    largest one is the one of highest degree.  A zero reducer raises ZeroVector.
+    The linear scan `_ReducerIndex.pick` replaced, kept as its reference.
+    """
+    best, best_alpha = None, -1
+    alpha, pos = mono
+    for g in reducers:
+        _, (g_alpha, g_pos), g_ord = g.lead(order)
+        # strict, so the first index wins ties
+        if g_pos == pos and best_alpha < g_alpha <= alpha and g_ord >= min_ord:
+            best, best_alpha = g, g_alpha
+    return best
+
+
+def _reference_reduce_step(f, F, order):
+    """`reduce_step` with the reducer found by the scan."""
+    if f.is_zero():
+        raise ZeroVector("cannot reduce the zero vector")
+    c, m, o = f.lead(order)
+    g = _pick_reducer(m, o, F, order)
+    if g is None:
+        raise NotReducible("leading term not cancellable by the given reducers")
+    gc, gm, go = g.lead(order)
+    return f.sub_term_mul(g, _quotient(f.ring, c, gc, f.ring.r - go), m.alpha - gm.alpha)
+
+
+def _reference_normal_form(f, F, order):
+    while not f.is_zero():
+        try:
+            f = _reference_reduce_step(f, F, order)
+        except NotReducible:
+            break
+    return f
+
+
+def _reference_module_equal(A, B, order):
+    return all(_reference_normal_form(a, B, order).is_zero() for a in A) and all(
+        _reference_normal_form(b, A, order).is_zero() for b in B
+    )
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the library error it raised."""
+    try:
+        return fn(*args)
+    except (NotReducible, ZeroVector) as exc:
+        return type(exc)
+
+
 class TestReducerIndex:
     RINGS = (Zpr(2, 1), Z9, Zpr(2, 8), Zpr(65521, 1))
 
@@ -302,7 +355,7 @@ class TestReducerIndex:
                                 for min_ord in range(ring.r + 2):
                                     mono = Monomial(alpha, pos)
                                     want = _pick_reducer(mono, min_ord, basis, order)
-                                    got = _pick_reducer(mono, min_ord, index, order)
+                                    got = index.pick(mono, min_ord)
                                     assert got is want, (ring, q, order, mono, min_ord)
                                     found += want is not None
         assert found > 5000
@@ -313,8 +366,62 @@ class TestReducerIndex:
         for g in basis:
             index.append(g)
         # POT files the first element under e1, but its TOP lm is x^3*e2
-        assert _pick_reducer(Monomial(3, 2), 0, index, TOP) is basis[0]
-        assert _pick_reducer(Monomial(3, 2), 0, index, POT) is basis[1]
+        f = vec(Z9, "[0, x^3]")
+        assert reduce_step(f, index, TOP) == _reference_reduce_step(f, basis, TOP)
+        assert reduce_step(f, index, TOP) == vec(Z9, "[8x, 0]")
+        assert reduce_step(f, index, POT) == _reference_reduce_step(f, basis, POT)
+        assert reduce_step(f, index, POT).is_zero()
+        for order in (TOP, POT):
+            assert normal_form(f, index, order) == _reference_normal_form(f, basis, order)
+        assert normal_form(f, index, TOP) == vec(Z9, "[8x, 0]")
+
+    def test_plain_lists_reduce_as_the_scan_does(self):
+        rng = random.Random(67)
+        cases = moved = equal = 0
+        for ring in self.RINGS + (Zpr(3, 3),):
+            for q in range(1, 4):
+                for order in (TOP, POT):
+                    for _ in range(24):
+                        A = _seeded_basis(rng, ring, q, rng.randrange(1, 8))
+                        B = _seeded_basis(rng, ring, q, rng.randrange(1, 8))
+                        if rng.randrange(3) == 0:  # a Groebner basis, and a combination of it
+                            B = list(buchberger(A, order).elements)
+                            A = [_random_combination(rng, B)] + A[:1]
+                        for f in A:
+                            got = _outcome(normal_form, f, B, order)
+                            assert got == _outcome(_reference_normal_form, f, B, order)
+                            moved += got != f
+                        got = _outcome(module_equal, A, B, order)
+                        assert got == _outcome(_reference_module_equal, A, B, order)
+                        equal += got is True
+                        cases += 1
+        assert cases >= 500 and moved > 1000 and equal > 40, (cases, moved, equal)
+
+    def test_zero_reducers_raise_where_the_scan_raises(self):
+        zero, f = PolyVec.zero(Z9, 2), vec(Z9, "[x, 1]")
+        cases = [
+            (module_equal, [zero], [], TOP),
+            (module_equal, [], [zero], TOP),
+            (module_equal, [zero], [zero], TOP),
+            (module_equal, [f], [zero], TOP),
+            (module_equal, [f], [f, zero], POT),
+            (normal_form, zero, [zero], TOP),
+            (normal_form, f, [zero], TOP),
+            (normal_form, f, [f, zero], POT),
+            (reduce_step, zero, [zero], TOP),
+            (reduce_step, f, [vec(Z9, "[0, 1]"), zero], TOP),
+        ]
+        reference = {
+            module_equal: _reference_module_equal,
+            normal_form: _reference_normal_form,
+            reduce_step: _reference_reduce_step,
+        }
+        got = [_outcome(fn, *args) for fn, *args in cases]
+        assert got == [_outcome(reference[fn], *args) for fn, *args in cases]
+        assert [g if isinstance(g, (bool, type)) else g.is_zero() for g in got] == [
+            True, True, True, ZeroVector, ZeroVector,
+            True, ZeroVector, ZeroVector, ZeroVector, ZeroVector,
+        ]
 
     def test_completion_equals_plain_list_completion(self, monkeypatch):
         rng = random.Random(62)

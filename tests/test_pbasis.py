@@ -1,6 +1,7 @@
 """Tests for order differences, p-basis construction, and digit representation."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,8 @@ from pgroebner import (
     POT,
     TOP,
     GroebnerBasis,
+    Monomial,
+    MonomialOrder,
     NotInModule,
     PBasis,
     Poly,
@@ -24,7 +27,9 @@ from pgroebner import (
     order_differences,
     p_dim,
     p_represent,
+    parse_matrix,
 )
+from pgroebner import pbasis
 from pgroebner.pbasis import _represent
 from pgroebner.polyvec import combine
 from conftest import SEQ_Z9A, Z4, Z5, Z9, vec
@@ -78,6 +83,58 @@ class TestBuildPBasis:
                 seen.add(key)
 
 
+def _reference_represent(
+    f: PolyVec, vectors: tuple[PolyVec, ...] | list[PolyVec], order: MonomialOrder
+) -> tuple[Poly, ...]:
+    """Greedy digit-coefficient representation of f over a p-basis fragment.
+
+    At each step the leading coefficient of the residual is split into
+    digits along the p-power layers offered by the vectors whose leading
+    monomial divides the residual's; the layers are distinct, so every
+    digit is forced and the leading monomial strictly decreases.  The scan
+    and sort `_represent`'s (position, order) lookup replaced, kept as its
+    reference.
+    """
+    ring = f.ring
+    digits: list[dict[int, int]] = [{} for _ in vectors]
+    work = f
+    while not work.is_zero():
+        c, X = work.lt(order)
+        cands = [
+            (ring.r - v.ord(order), i, v)
+            for i, v in enumerate(vectors)
+            if v.lm(order).divides(X)
+        ]
+        if not cands:
+            raise NotInModule(f"leading term at {X} has no matching basis vector")
+        cands.sort()
+        assert len({e for e, _, _ in cands}) == len(cands)
+        rem = c
+        used: list[tuple[int, int, int]] = []
+        for e, i, v in cands:
+            if rem == 0:
+                break
+            if rem % ring.p**e != 0:
+                raise NotInModule(f"coefficient {c} at {X} is not digit-expressible")
+            u = v.lc(order) // ring.p**e  # lc = u * p^e, e = r - ord from the lead cache
+            theta = ((rem // ring.p**e) % ring.p) * pow(u, -1, ring.p) % ring.p
+            if theta:
+                rem = ring.sub(rem, theta * u * ring.p**e)
+                used.append((i, theta, X.alpha - v.lm(order).alpha))
+        if rem != 0:
+            raise NotInModule(f"coefficient {c} at {X} is not digit-expressible")
+        for i, theta, shift in used:
+            assert shift not in digits[i]
+            digits[i][shift] = theta
+            work = work.sub_term_mul(vectors[i], theta, shift)
+        assert work.is_zero() or order.compare(work.lm(order), X) < 0
+    out = []
+    for d in digits:
+        top = max(d, default=-1)
+        out.append(Poly(ring, (d.get(k, 0) for k in range(top + 1))))
+    return tuple(out)
+
+
 def _reference_build_p_basis(G):
     """The all-vectors p-generator check: p times every vector but the last
     is digit-represented over the later vectors and re-evaluated, and every
@@ -111,7 +168,7 @@ def _reference_build_p_basis(G):
             continue
         tail = vectors[i + 1 :]
         try:
-            coeffs = _represent(pv, tail, order)
+            coeffs = _reference_represent(pv, tail, order)
         except NotInModule as exc:
             raise ValidationFailed(
                 f"p * vector {i} is not a digit combination of the later vectors"
@@ -302,6 +359,77 @@ class TestPRepresent:
         f = basis.vectors[0].scale(5)  # 5 = 2 + 1*3: digits (2, 1) across v1, v2=3*v1
         digits = p_represent(f, basis)
         assert [str(d) for d in digits] == ["2", "1", "0", "0"]
+
+
+REPRESENT_RINGS = (Z4, Zpr(2, 3), Z9, Zpr(5, 2), Zpr(3, 3), Zpr(2, 8))
+
+
+def _represent_bases(rng):
+    """p-bases of seeded q = 1-4 modules under TOP and POT, and of interpolation modules."""
+    for ring in REPRESENT_RINGS:
+        for q in range(1, 5):
+            for order in (TOP, POT):
+                for _ in range(2):
+                    gens = [_random_vector(rng, ring, q) for _ in range(rng.randint(1, 3))]
+                    yield build_p_basis(buchberger(gens, order))
+        for n in (3, 6, 9):
+            seq = tuple(rng.randrange(ring.modulus) for _ in range(n))
+            gens = list(build_module(SequenceInput(ring, seq)))
+            for order in (TOP, POT):
+                yield build_p_basis(buchberger(gens, order))
+
+
+def _digits_or_not(represent, f, vectors, order):
+    try:
+        return represent(f, vectors, order)
+    except NotInModule:
+        return "NotInModule"
+
+
+class TestRepresentByKey:
+    """`_represent`'s (position, order) lookup against the scan it replaced.
+
+    Over Z_4, Z_8, Z_9, Z_25, Z_27 and Z_256, a random digit combination of
+    a p-basis round-trips to its digits under both, and the same vector plus
+    one random term gets equal digits from both or NotInModule from both.
+    Looking up (position, order + 1), or not checking that the vector found
+    divides the lead, fails here.
+    """
+
+    def test_lookup_equals_the_scan(self):
+        rng = random.Random(2001)
+        seen = Counter()
+        for basis in _represent_bases(rng):
+            ring, order, vectors = basis.ring, basis.order, basis.vectors
+            q = vectors[0].q
+            top = max(v.deg(order) for v in vectors) + 4
+            for _ in range(16):
+                coeffs = tuple(
+                    Poly(ring, [rng.randrange(ring.p) for _ in range(rng.randrange(4))])
+                    for _ in vectors
+                )
+                f = combine(coeffs, vectors)
+                assert _represent(f, vectors, order) == coeffs
+                assert _reference_represent(f, vectors, order) == coeffs
+                term = Monomial(rng.randrange(top), rng.randint(1, q))
+                g = f + PolyVec(ring, q, {term: rng.randrange(1, ring.modulus)})
+                got = _digits_or_not(_represent, g, vectors, order)
+                assert got == _digits_or_not(_reference_represent, g, vectors, order)
+                seen["rejected" if got == "NotInModule" else "represented"] += 1
+        assert sum(seen.values()) >= 2000 and min(seen.values()) >= 200, seen
+
+    def test_repeated_position_and_order_is_not_a_p_basis(self):
+        B = build_p_basis(buchberger(parse_matrix(Z9, "[x^2+1, 3x]\n[3, x+2]\n"), TOP))
+        twice = PBasis(B.order, B.vectors + (B.vectors[0],), B.provenance + ((0, 0),), B.betas)
+        with pytest.raises(ValidationFailed, match="^vectors 0 and 4 share lpos and ord$"):
+            p_represent(B.vectors[0], twice)
+
+    def test_inexact_expansion_raises(self, monkeypatch):
+        basis = build_p_basis(z9a_top_basis())
+        f = basis.vectors[0]
+        monkeypatch.setattr(pbasis, "combine", lambda coeffs, vectors: f.scale(2))
+        with pytest.raises(ValidationFailed, match="inexact"):
+            p_represent(f, basis)
 
 
 class TestCheckPPlm:

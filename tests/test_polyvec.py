@@ -328,6 +328,23 @@ class TestTrustedConstruction:
         with pytest.raises(DimensionMismatch):
             g.term_mul(2, -2)
 
+    def test_negative_poly_exponents_match_term_mul(self):
+        with pytest.raises(DimensionMismatch):
+            Poly.monomial(Z9, 1, -2)
+        assert Poly.monomial(Z9, 9, -2).is_zero()  # no term, as for PolyVec.zero(...).term_mul
+        f = parse_poly(Z9, "x^2+1")
+        with pytest.raises(DimensionMismatch):
+            f.shift(-1)
+        assert parse_poly(Z9, "x^3+3x^2").shift(-2) == parse_poly(Z9, "x+3")
+        assert parse_poly(Z9, "x^3+3x^2").shift(-2).coeffs == (3, 1)
+        assert Poly.zero(Z9).shift(-4).is_zero()
+        assert f.shift(0) == f and f.shift(2) == parse_poly(Z9, "x^4+x^2")
+        # the vector of each shift is the same vector's term_mul
+        h = parse_poly(Z9, "3x^4+x^2")
+        for gamma in range(-2, 3):
+            lifted = PolyVec.from_components(Z9, [h.shift(gamma)])
+            assert lifted == PolyVec.from_components(Z9, [h]).term_mul(1, gamma)
+
 
 # the packed layouts: W = 2r for p = 2 and 3*bitlen(m) + 1 for odd p
 PACKED_RINGS = (Zpr(2, 1), Zpr(2, 2), Zpr(2, 8), Z9, Zpr(3, 4), Zpr(3, 20), Zpr(65521, 1))
