@@ -10,21 +10,21 @@ classic completion loop is extended in two ways:
   an annihilator pair p^ord(g) * g, which must also reduce to zero.
 
 When an element k is added, its pairs with the earlier elements of its
-position are walked in the order they pop, ascending (lcm degree, index),
-keeping best, the highest ord walked so far (0 at the start); (i, k) is
-queued only if best < min(ord i, ord k).  Over a field every ord is 1, so k
-forms one pair, with the earlier element i that minimizes max(a_i, a_k),
-first index on ties (a_i is the degree of lm(g_i)): Gebauer-Moeller's
-chain criterion (JSC 1988).  For r > 1 the ords of the queued pairs' older
-elements strictly rise, so k queues at most r S-pairs: the criterion
-carried to chain rings (cf. Norton-Salagean, 2001).  Sound: a dropped pair
-(i, k) at X = x^A*e_P has an element t walked before i with ord t >=
-min(ord i, ord k) and deg t <= A.  With lcs normalized to p-powers, S(i,
-k) = p^a*x^b*S(i, t) + p^c*x^d*S(t, k) exactly, and both pairs are keyed
-below (i, k): (t, k) was walked first, and (i, t) has an lcm <= X and a
-newer index below k.  By induction on the key every pair, dropped or not,
-annihilator pairs included, then has a representation strictly below its
-lcm, which is Buchberger's criterion over a chain ring.
+position would pop in ascending (lcm degree, index) order.  Let first(j) be
+the first earlier element in that order with ord >= j; k queues its pairs
+with first(1), ..., first(ord k), each once.  Over a field every ord is 1,
+so k forms one pair, with the earlier element i that minimizes
+max(a_i, a_k), first index on ties (a_i = deg lm(g_i)): Gebauer-Moeller's
+chain criterion (JSC 1988).  For r > 1 k queues at most r S-pairs: the
+criterion carried to chain rings (cf. Norton-Salagean, 2001).  Sound: a
+dropped pair (i, k) at X = x^A*e_P is not first(j) for j = min(ord i,
+ord k), so t = first(j) pops before it, with ord t >= j and deg t <= A.
+With lcs normalized to p-powers, S(i, k) = p^a*x^b*S(i, t) +
+p^c*x^d*S(t, k) exactly, and both pairs are keyed below (i, k): (t, k) pops
+first, and (i, t) has an lcm <= X and a newer index below k.  By induction
+on the key every pair, dropped or not, annihilator pairs included, then has
+a representation strictly below its lcm: Buchberger's criterion over a
+chain ring.
 
 A leading term c*X is cancellable by a reducer g with lm(g) dividing X
 exactly when ord(g) >= ord(c), i.e. when c lies in the ideal generated by
@@ -41,16 +41,17 @@ and ord rising together, so with each lc normalized to p^(r-ord) only the
 top element can have lc 1; the tail terms it covers are cancelled (unique
 quotients, so a canonical step; full tail reduction is not performed).
 
-Reducers are read from an index, not found by scanning.  The index files
-each element, as it is appended, in a bucket for its leading position,
-sorted by descending degree and then by ascending index.  A reducer of
-x^alpha*e_pos shares its position and has degree <= alpha, and the one
-chosen is the first of highest degree whose ord is high enough: the first
-such entry of the bucket from degree alpha down, ties included.  During
-completion the live basis is the index, and the whole bucket lists a new
-element's pairs.  `reduce_step` and `normal_form` index a plain list, or
-an index made for the other order, before they reduce; `is_groebner`
-indexes its basis once.  The finish needs no index.
+Reducers and pairs are read from one index, not found by scanning.  It
+files each element, as it is appended, under (position, j) for every
+j <= its ord.  A level lists them by descending degree, then index: the
+reducer of x^alpha*e_pos at ord >= o is the first entry of level (pos, o)
+from degree alpha down.  A stair keeps, in index order, only the elements
+of degree below every one filed there before.  Only these can be first(j):
+if an earlier element of ord >= j has degree <= deg i, its pair with k
+pops before (i, k).  As pairs of degree <= deg k pop at lcm degree deg k,
+by index, and the others by degree, first(j) is the earliest stair entry
+of degree <= deg k, else the last one.  Each is one bisect.  The live
+basis of a completion is its index; other callers index their list first.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ import bisect
 import heapq
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Sequence
@@ -118,37 +120,40 @@ def _quotient(ring: Zpr, target: int, by: int, vb: int) -> int:
 
 
 class _ReducerIndex(list):
-    """Reducers indexed by leading position: a live basis, or a list `_indexed` files.
-
-    The elements in the order they were appended; `append` also files each
-    in its position's bucket as (-deg, index, ord, element), kept sorted
-    under the one order the index was made for.  `pick` and `buchberger`'s
-    `add_element` read the buckets.  Elements must only ever be appended.
+    """Elements filed by (leading position, ord) under one order (see the
+    module docstring): a live basis, or a list `_indexed` files.  `append`
+    files each as (-deg, index, ord) in the sorted levels `pick` bisects and
+    on the stairs `_partners` bisects.  Elements must only ever be appended.
     """
 
     def __init__(self, order: MonomialOrder) -> None:
         super().__init__()
         self.order = order
-        self.buckets: dict[int, list[tuple[int, int, int, PolyVec]]] = {}
+        self.levels: defaultdict[tuple[int, int], list[tuple[int, int, int]]] = defaultdict(list)
+        self.stairs: defaultdict[tuple[int, int], list[tuple[int, int, int]]] = defaultdict(list)
 
     def append(self, g: PolyVec) -> None:
         _, (alpha, pos), o = g.lead(self.order)
-        bisect.insort(self.buckets.setdefault(pos, []), (-alpha, len(self), o, g))
+        entry = (-alpha, len(self), o)
+        for j in range(1, o + 1):
+            bisect.insort(self.levels[pos, j], entry)
+            stair = self.stairs[pos, j]
+            # compare degrees only: an equal degree never joins the stair
+            if not stair or stair[-1][0] < -alpha:
+                stair.append(entry)
         super().append(g)
 
     def pick(self, mono: Monomial, min_ord: int) -> PolyVec | None:
         """Largest-lm element whose lm divides mono and whose ord is >= min_ord; ties by index.
 
         Every such lm shares mono's position, so the largest is the one of
-        highest degree.
+        highest degree.  Every ord is at least 1, so level 1 holds them all.
         """
         alpha, pos = mono
-        bucket = self.buckets.get(pos, [])
-        # (-alpha,) sorts before every entry of degree alpha: start there
-        for _, _, o, g in bucket[bisect.bisect_left(bucket, (-alpha,)) :]:
-            if o >= min_ord:
-                return g
-        return None
+        level = self.levels.get((pos, min_ord if min_ord > 1 else 1), ())
+        # (-alpha,) sorts before every entry of degree alpha
+        i = bisect.bisect_left(level, (-alpha,))
+        return self[level[i][1]] if i < len(level) else None
 
 
 def _indexed(F: list[PolyVec], order: MonomialOrder) -> _ReducerIndex:
@@ -371,13 +376,21 @@ def _check_inputs(generators: list[PolyVec]) -> tuple[Zpr, int]:
     return ring, q
 
 
-def _keep_pair(best: int, ord_i: int, ord_k: int) -> bool:
-    """Whether a new element k queues its pair with i, best being the highest
-    ord of the elements walked before i (see the module docstring).
-
-    Tests replace this by `lambda *a: True`: the all-pairs reference.
+def _partners(basis: _ReducerIndex, alpha: int, pos: int, o: int) -> list[tuple[int, int, int]]:
+    """first(1), ..., first(o), each once, as entries (-deg i, i, ord i), for a
+    new element of lead x^alpha*e_pos and ord o.  Tests replace this by every
+    earlier element of the position: the all-pairs reference.
     """
-    return best < min(ord_i, ord_k)
+    out: list[tuple[int, int, int]] = []
+    j = 1
+    # no stair at j: nothing of ord >= j here, so nothing of a higher ord
+    while j <= o and (stair := basis.stairs.get((pos, j))):
+        # the earliest entry of degree <= alpha, else the last, of least degree
+        entry = stair[min(bisect.bisect_left(stair, (-alpha,)), len(stair) - 1)]
+        out.append(entry)
+        # the candidates shrink as j rises, so entry is first(j) up to its ord
+        j = entry[2] + 1
+    return out
 
 
 def buchberger(
@@ -412,24 +425,11 @@ def buchberger(
         g = normalize_lc(g, order)
         k = len(basis)
         _, km, k_ord = g.lead(order)
-        # k's pairs in the order they pop, ascending (lcm degree, index): first
-        # the bucket's elements of degree <= deg k, whose lcm is deg k, by index,
-        # then the others by degree; reverse=True keeps a stable sort, so equal
-        # degrees stay in index order
         alpha, pos = km
-        bucket = basis.buckets.get(pos, [])
-        cut = bisect.bisect_left(bucket, (-alpha,))
-        walk = sorted(bucket[cut:], key=itemgetter(1))
-        walk += sorted(bucket[:cut], key=itemgetter(0), reverse=True)
+        partners = _partners(basis, alpha, pos, k_ord)
         basis.append(g)
-        best = 0  # the highest ord walked so far
-        for neg, i, o, _ in walk:
-            if _keep_pair(best, o, k_ord):
-                push(Monomial(max(-neg, alpha), pos), k, i)
-            elif best >= k_ord:  # no later pair can be kept
-                break
-            if o > best:
-                best = o
+        for neg, i, _ in partners:
+            push(Monomial(max(-neg, alpha), pos), k, i)
         if k_ord < ring.r:
             push(km, k, k)  # annihilator pair
 

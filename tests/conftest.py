@@ -60,10 +60,14 @@ def z9():
 @pytest.fixture
 def all_pairs(monkeypatch):
     """Call it to make `buchberger` queue every pair: the reference for its
-    insertion-time pair rule, `_keep_pair`."""
+    insertion-time pair rule, `_partners`."""
+
+    def every_earlier_element(basis, alpha, pos, o):
+        leads = (g.lead(basis.order) for g in basis)
+        return [(-m.alpha, i, g_ord) for i, (_, m, g_ord) in enumerate(leads) if m.pos == pos]
 
     def switch_on():
-        monkeypatch.setattr(groebner, "_keep_pair", lambda *a: True)
+        monkeypatch.setattr(groebner, "_partners", every_earlier_element)
 
     return switch_on
 

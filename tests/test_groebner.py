@@ -1,7 +1,9 @@
 """Tests for reduction, completion, minimalization, and the PLM check."""
 
+import bisect
 import random
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 
@@ -597,6 +599,31 @@ def _pair_counts(monkeypatch, S):
     return len(queued), len(reduced)
 
 
+def _reference_partners(basis, alpha, pos, o):
+    """The walk `_partners` replaced, kept as its reference.
+
+    The earlier elements of the position are walked in the order their pairs
+    pop, ascending (lcm degree, index): first those of degree <= alpha, whose
+    lcm is alpha, by index, then the others by degree (reverse=True keeps a
+    stable sort, so equal degrees stay in index order).  best is the highest
+    ord walked so far; the pair with i is kept only if best < min(ord i, o),
+    and once best reaches o no later pair can be.
+    """
+    leads = (g.lead(basis.order) for g in basis)
+    bucket = sorted((-m.alpha, i, g_ord) for i, (_, m, g_ord) in enumerate(leads) if m.pos == pos)
+    cut = bisect.bisect_left(bucket, (-alpha,))
+    walk = sorted(bucket[cut:], key=itemgetter(1))
+    walk += sorted(bucket[:cut], key=itemgetter(0), reverse=True)
+    out, best = [], 0
+    for neg, i, ord_i in walk:
+        if best < min(ord_i, o):
+            out.append((neg, i, ord_i))
+        elif best >= o:
+            break
+        best = max(best, ord_i)
+    return out
+
+
 class _PairLog:
     """The pairs `buchberger` pushes and pops, each as (completion, newer, older).
 
@@ -735,12 +762,18 @@ class TestChainPairs:
         assert _documents(modules, sequences, check=False) == skipping
 
     def test_every_dropped_pair_reduces_to_zero_where_all_pairs_pops_it(self, monkeypatch, all_pairs):
-        # every pair is queued, and the pairs the rule would drop are recorded:
-        # each S-pair push follows one call of the rule, in the same order
+        # every pair is queued, and what the rule would keep is recorded per
+        # insertion: all pushes of one insertion come before the next call
         log = _PairLog(monkeypatch)
-        rule, verdicts, zero = groebner._keep_pair, [], {}
+        rule, calls, zero = groebner._partners, [], {}
         all_pairs()
-        monkeypatch.setattr(groebner, "_keep_pair", lambda *a: verdicts.append(rule(*a)) or True)
+        every = groebner._partners
+
+        def recorded(basis, alpha, pos, o):
+            calls.append((len(log.pushed), {i for _, i, _ in rule(basis, alpha, pos, o)}))
+            return every(basis, alpha, pos, o)
+
+        monkeypatch.setattr(groebner, "_partners", recorded)
         nf = groebner.normal_form
 
         def audited(vec, F, order):
@@ -751,9 +784,12 @@ class TestChainPairs:
 
         monkeypatch.setattr(groebner, "normal_form", audited)
         _documents(*self._inputs(), check=False)
-        s_pairs = [pair for pair in log.pushed if pair[1] != pair[2]]
-        assert len(s_pairs) == len(verdicts)
-        dropped = {pair for pair, kept in zip(s_pairs, verdicts) if not kept}
+        ends = [start for start, _ in calls[1:]] + [len(log.pushed)]
+        dropped = set()
+        for (start, kept), end in zip(calls, ends):
+            s_pairs = {pair for pair in log.pushed[start:end] if pair[1] != pair[2]}
+            assert kept <= {i for _, _, i in s_pairs}
+            dropped |= {pair for pair in s_pairs if pair[2] not in kept}
         assert dropped <= set(log.popped)
         # a pair whose S-vector is zero is never reduced
         assert all(zero.get(pair, True) for pair in dropped)
@@ -763,8 +799,19 @@ class TestChainPairs:
         assert _most_s_pairs_per_element(monkeypatch, *self._inputs()) > 1
 
     def test_z256_n256_completes_under_a_small_cap(self):
-        # it queues 2279 pairs; queuing every pair of a position took 89234
-        shortest_lrr(_baseline_sequence(Zpr(2, 8), 256), max_steps=10_000)
+        # it queues 2279 pairs, as the walk `_partners` replaced did, so one
+        # pair less fails; queuing every pair of a position took 89234
+        S = _baseline_sequence(Zpr(2, 8), 256)
+        shortest_lrr(S, max_steps=2279)
+        with pytest.raises(IterationLimitExceeded):
+            shortest_lrr(S, max_steps=2278)
+
+    @pytest.mark.parametrize(
+        "p, r, queued, count", [(2, 8, 10352, 1932), (3, 4, 4575, 1423)], ids=["Z256-n1024", "Z81-n1024"]
+    )
+    def test_work_at_scale(self, monkeypatch, p, r, queued, count):
+        # counted with the walk `_partners` replaced; all pairs would be too slow here
+        assert _pair_counts(monkeypatch, _baseline_sequence(Zpr(p, r), 1024)) == (queued, count)
 
     @pytest.mark.parametrize(
         "p, r, n, queued, count, all_queued, all_count",
@@ -783,6 +830,47 @@ class TestChainPairs:
         assert _pair_counts(monkeypatch, S) == (queued, count)
         all_pairs()
         assert _pair_counts(monkeypatch, S) == (all_queued, all_count)
+
+
+class TestPartners:
+    """`_partners` reads from the stairs exactly the pairs the walk it replaced kept."""
+
+    RINGS = (Zpr(2, 1), Zpr(2, 2), Zpr(2, 3), Zpr(3, 2), Zpr(3, 3), Zpr(3, 4), Zpr(2, 8))
+
+    @classmethod
+    def _cases(cls):
+        """Interpolation modules of n < 40, and seeded q = 1..4 modules, under TOP and POT."""
+        rng = random.Random(71)
+        cases = []
+        for k in range(1050):
+            ring = cls.RINGS[k % 7]
+            S = SequenceInput(ring, tuple(rng.randrange(ring.modulus) for _ in range(rng.randrange(1, 40))))
+            cases.append((list(build_module(S)), (TOP, POT)[k % 2]))
+        for k in range(1050):
+            ring, q = cls.RINGS[k % 7], 1 + k // 7 % 4
+            cases.append((_seeded_basis(rng, ring, q, rng.randrange(1, 6)), (TOP, POT)[k % 2]))
+        return cases
+
+    def test_pushes_and_bases_equal_the_walk(self, monkeypatch):
+        cases, pushed = self._cases(), []
+        push = groebner.heapq.heappush
+        monkeypatch.setattr(groebner.heapq, "heappush", lambda h, x: (pushed.append(x), push(h, x)))
+
+        def runs():
+            out = []
+            for gens, order in cases:
+                pushed.clear()
+                G = buchberger(gens, order)
+                out.append((list(pushed), G.elements))
+            return out
+
+        got = runs()
+        monkeypatch.setattr(groebner, "_partners", _reference_partners)
+        want = runs()
+        for k, (case_got, case_want) in enumerate(zip(got, want)):
+            assert case_got == case_want, k
+        s_pairs = sum(k != i for pushes, _ in got for _, k, i in pushes)
+        assert len(cases) >= 2000 and s_pairs > 25000, s_pairs
 
 
 def _reference_quotient(ring, target, by):
