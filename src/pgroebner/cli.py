@@ -204,7 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # each cap only where it applies, so a cap given elsewhere is a usage error
     for sub in (gb, pb, lr):
-        sub.add_argument("--max-steps", type=_decimal, help="cap on queued completion pairs")
+        sub.add_argument("--max-steps", type=_decimal,
+                         help="cap on queued completion pairs (lrr over a field: on its n+1 steps)")
     lr.add_argument("--max-enum", type=_decimal, help="enumeration cap")
     return parser
 

@@ -12,8 +12,10 @@ The solver forms the interpolation module spanned by [1, -S(x)] and
 [0, x^(n+1)] with S(x) = S_0 x^n + ... + S_{n-1} x, computes its minimal
 TOP Groebner p-basis (v_1, ..., v_{2r}), and picks the unique v with
 leading position 1 and full order r; its first component, made monic, is a
-shortest recurrence.  Writing v_i = [d_i, *], every shortest recurrence is
-obtained exactly once as
+shortest recurrence.  `buchberger` completes the generators for r > 1; over
+a field `_field_basis` builds the basis term by term, and as every tail is
+then reduced and a reduced basis is unique, both give the same basis.
+Writing v_i = [d_i, *], every shortest recurrence is obtained exactly once as
 
     q * d + sum over later i of q_i * d_i,
 
@@ -30,10 +32,10 @@ from dataclasses import dataclass
 from operator import mul
 from struct import Struct
 
-from .errors import EnumerationTooLarge, PivotNotUnique, ZeroVector
-from .groebner import DEFAULT_MAX_STEPS, buchberger
+from .errors import EnumerationTooLarge, IterationLimitExceeded, MixedRings, PivotNotUnique, ZeroVector
+from .groebner import DEFAULT_MAX_STEPS, GroebnerBasis, buchberger
 from .pbasis import PBasis, build_p_basis
-from .polyvec import TOP, Poly, PolyVec
+from .polyvec import TOP, Poly, PolyVec, _layout
 from .ring import Zpr
 
 DEFAULT_ENUM_CAP = 10**6
@@ -49,6 +51,8 @@ class SequenceInput:
     def __post_init__(self) -> None:
         if len(self.values) < 1:
             raise ValueError("sequence must have length >= 1")
+        if not all(isinstance(v, int) for v in self.values):
+            raise TypeError("sequence values must be ints")
         object.__setattr__(
             self, "values", tuple(self.ring.reduce(v) for v in self.values)
         )
@@ -82,6 +86,8 @@ class LrrSolution:
 
 def is_lrr(f: Poly, S: SequenceInput) -> bool:
     """True when f has unit leading coefficient and annihilates the sequence."""
+    if f.ring != S.ring:
+        raise MixedRings(f"{f.ring} vs {S.ring}")
     if f.is_zero():
         raise ZeroVector("the zero polynomial is not a recurrence")
     ring, vals, L = S.ring, S.values, f.degree
@@ -101,11 +107,61 @@ def build_module(S: SequenceInput) -> tuple[PolyVec, PolyVec]:
     return s1, s2
 
 
+def _field_basis(S: SequenceInput) -> GroebnerBasis:
+    """The minimal TOP basis of the interpolation module over a field, term by term.
+
+    [f, h] is in the module when f*S(x) + h == 0 mod x^(n+1).  For k = 0..n
+    a basis mod x^k, from e1 and e2, becomes one mod x^(k+1) (Fitzpatrick,
+    *On the key equation*, IEEE-IT 1995): of the elements whose discrepancy,
+    the coefficient of x^k in f*S + h, is nonzero, the one of least TOP lead
+    is multiplied by x, after the other has it subtracted, scaled to cancel
+    its own.  The leads keep positions 1 and 2, so the basis stays minimal.
+
+    An element is one int in PolyVec slots, which are in TOP order, so the
+    larger int has the larger lead.  Its residual f*S + h over x^k is one
+    int of a W-bit slot per degree, the discrepancy lowest.  Subtraction is
+    an XOR for p = 2 and a `_Layout.fold` for odd p.
+    """
+    p, lay = S.ring.p, _layout(S.ring, 2)
+    W, smask, fold = lay.W, lay.smask, lay.fold
+    # e1 = [1, 0] has residual S(x): S_0 in slot n, down to S_(n-1) in slot 1
+    a, ra = 1 << W, int("".join([format(v, f"0{W}b") for v in (*S.values, 0)]), 2)
+    b, rb = 1, 1  # e2 = [0, 1]
+    for _ in range(S.n + 1):
+        if db := rb & smask:
+            if da := ra & smask:
+                if p == 2:
+                    a, ra = a ^ b, ra ^ rb
+                else:
+                    c = (p - da) * pow(db, -1, p) % p
+                    a, ra = fold(a + c * b), fold(ra + c * rb)
+            b, ra = b << lay.dw, ra >> W
+            if b > a:
+                a, b, ra, rb = b, a, rb, ra
+        elif ra & smask:
+            a, rb = a << lay.dw, rb >> W
+        else:
+            ra, rb = ra >> W, rb >> W
+    zero, block = PolyVec.zero(S.ring, 2), (1 << lay.bw) - 1
+    return GroebnerBasis.from_elements(
+        [zero._like(tuple(x >> i & block for i in range(0, x.bit_length(), lay.bw))) for x in (a, b)],
+        TOP)
+
+
 def shortest_lrr(S: SequenceInput, max_steps: int = DEFAULT_MAX_STEPS) -> LrrSolution:
-    """Shortest recurrence for S with the parametrization of all of them."""
+    """Shortest recurrence for S with the parametrization of all of them.
+
+    max_steps caps `buchberger`'s queued pairs for r > 1.  Over a field the
+    basis takes n + 1 steps, and more than max_steps raise
+    IterationLimitExceeded before the first.
+    """
     ring = S.ring
-    s1, s2 = build_module(S)
-    G = buchberger([s1, s2], TOP, max_steps=max_steps)
+    if ring.r > 1:
+        G = buchberger(list(build_module(S)), TOP, max_steps=max_steps)
+    elif S.n + 1 > max_steps:
+        raise IterationLimitExceeded(f"{S.n + 1} steps exceed {max_steps}")
+    else:
+        G = _field_basis(S)
     basis = build_p_basis(G)
     pivots = [
         i

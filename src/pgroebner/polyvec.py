@@ -226,9 +226,10 @@ class _Layout:
       K = 2^(W-1) - m sets the top bit of exactly the slots >= m, and m is
       subtracted there.
 
-    The masks are made on first use, for 1, 2, 4, ... slots (degrees, for
-    the lane) up to one block: a short int folds at the cost of its own
-    length, and a large q costs no more memory than its vectors do.
+    The masks are made on first use, for 1, 2, 4, ... slots (degrees, up to
+    one block, for the lane): a short int folds at the cost of its own
+    length, each mask is under twice as long as the longest int folded,
+    and ints longer than a block fold too.
     """
 
     __slots__ = ("q", "m", "W", "dw", "bw", "smask", "fold", "ord", "_p", "_k", "_mu",
@@ -242,7 +243,7 @@ class _Layout:
         self.dw = q * W  # bits per degree
         self.bw = BLOCK * self.dw  # bits per block
         self.smask = (1 << W) - 1
-        self._folds: list = [None] * ((BLOCK * q - 1).bit_length() + 1)
+        self._folds: list = [None] * 64  # by bit length of a slot count: any int in memory
         self._lanes: list = [None] * ((BLOCK - 1).bit_length() + 1)
         if p == 2:
             self.fold = self._fold2
@@ -261,8 +262,8 @@ class _Layout:
             self.ord = ord_
 
     def _fold_masks(self, e: int):
-        """The fold's masks over min(2^e, BLOCK*q) slots."""
-        n, W, m = min(1 << e, BLOCK * self.q), self.W, self.m
+        """The fold's masks over 2^e slots."""
+        n, W, m = 1 << e, self.W, self.m
 
         def every_slot(v: int) -> int:
             return int(format(v, f"0{W}b") * n, 2)

@@ -93,6 +93,28 @@ def _nonzero_digits(p: int, prefix: str = "") -> str:
     return "".join(pieces)
 
 
+_PIVOT_DIGITS = "pivot-digits: "
+# (p, the field for p), for the largest p asked for so far; a smaller p's is its
+# prefix.  One tuple, so that no caller pairs one p with another p's text.
+_kept = (1, _PIVOT_DIGITS)
+
+
+def _pivot_digits(p: int) -> str:
+    """_nonzero_digits(p, "pivot-digits: "), cut from the kept text.
+
+    Of 1..p-1, p - 10^w have more than w digits, so the field has p - 2
+    commas and the sum of p - 10^w over the w below the digit count of
+    p - 1 in digits.  At the largest p the cut is the kept text itself.
+    """
+    global _kept
+    kept_p, text = _kept
+    if p > kept_p:
+        text = _nonzero_digits(p, _PIVOT_DIGITS)
+        _kept = p, text
+    digits = sum(p - 10**w for w in range(len(str(p - 1))))
+    return text[:len(_PIVOT_DIGITS) + digits + p - 2]
+
+
 def format_monomial(m: Monomial) -> str:
     if m.alpha == 0:
         return f"e{m.pos}"
@@ -249,7 +271,7 @@ def render_lrr_doc(doc: LrrDoc) -> str:
         f"length: {doc.length}",
         f"companion: {format_poly(doc.companion)}",
         f"pivot: {doc.pivot_index + 1}",
-        _nonzero_digits(ring.p, "pivot-digits: "),
+        _pivot_digits(ring.p),  # the join below is its one copy
     ]
     for d, budget in doc.params:
         lines.append(f"param: {format_poly(d)} budget={budget}")
@@ -361,7 +383,7 @@ def render_p_basis_human(basis: PBasis) -> str:
 
 
 def parametrization_template(sol: LrrSolution) -> list[str]:
-    nonzero = _nonzero_digits(sol.ring.p)  # copied into each line: cheaper than building again
+    nonzero = _pivot_digits(sol.ring.p)[len(_PIVOT_DIGITS):]  # copied into each line
     pieces = [f"q0*({format_poly(sol.shortest)})"]
     constraints = [f"  q0: nonzero digit in {{{nonzero}}}"]
     for i, (d, budget) in enumerate(sol.param_basis, start=1):

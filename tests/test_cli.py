@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 
 import pgroebner
+from pgroebner import reports
 from pgroebner.cli import main
 from pgroebner.reports import (
     JOIN_CHUNK,
     _poly_lines,
     _nonzero_digits,
+    _pivot_digits,
     lrr_doc,
     parse_gb_doc,
     parse_lrr_doc,
@@ -332,7 +334,7 @@ class TestLrrCommand:
                     f"monic: {pgroebner.format_poly(f)}" for f in items
                 )
 
-    def test_decimal_block_digits_equal_plain_join(self):
+    def test_decimal_block_digits_equal_plain_join(self, monkeypatch):
         def is_prime(n):
             return all(n % d for d in range(2, int(n**0.5) + 1))
 
@@ -347,6 +349,13 @@ class TestLrrCommand:
             plain = ",".join(map(str, range(1, p)))
             assert _nonzero_digits(p) == plain, p
             assert _nonzero_digits(p, "pivot-digits: ") == "pivot-digits: " + plain, p
+        # one kept text, for the largest p so far, whatever order p arrives in
+        monkeypatch.setattr(reports, "_kept", (1, "pivot-digits: "))
+        for p in (65521, 3, 10007, 2, 65519, 101, *range(2, 1201), 65521):
+            assert _pivot_digits(p) == "pivot-digits: " + ",".join(map(str, range(1, p))), p
+            assert reports._kept[0] == 65521
+        # at the largest p the field is the kept text, not a copy of it
+        assert _pivot_digits(65521) is _pivot_digits(65521) is reports._kept[1]
 
     def test_structured_round_trip(self, capsys):
         code, out, _ = run(

@@ -590,12 +590,13 @@ def _baseline_sequence(ring, n):
 
 
 def _pair_counts(monkeypatch, S):
-    """The pairs `shortest_lrr(S)` queues and the pair reductions it runs."""
+    """The pairs the completion of S's interpolation module queues and the pair
+    reductions it runs: `shortest_lrr(S)`'s for r > 1, its reference for r = 1."""
     queued, reduced = [], []
     push, nf = groebner.heapq.heappush, groebner.normal_form
     monkeypatch.setattr(groebner.heapq, "heappush", lambda h, x: (queued.append(x), push(h, x)))
     monkeypatch.setattr(groebner, "normal_form", lambda *a: (reduced.append(a), nf(*a))[1])
-    shortest_lrr(S)
+    buchberger(list(build_module(S)), TOP)
     return len(queued), len(reduced)
 
 
@@ -659,7 +660,7 @@ def _most_s_pairs_per_element(monkeypatch, modules, sequences):
     more than r S-pairs or more than one annihilator pair."""
     log = _PairLog(monkeypatch)
     runs = [(gens[0].ring, buchberger, (gens, order)) for gens, order in modules]
-    runs += [(S.ring, shortest_lrr, (S,)) for S in sequences]
+    runs += [(S.ring, buchberger, (list(build_module(S)), TOP)) for S in sequences]
     most = 0
     for ring, fn, args in runs:
         log.pushed.clear()
@@ -672,7 +673,9 @@ def _most_s_pairs_per_element(monkeypatch, modules, sequences):
 
 
 def _documents(modules, sequences, check):
-    """The gb and p-basis documents of the modules, then the lrr documents of the sequences."""
+    """The gb and p-basis documents of the modules, then the gb document of each
+    sequence's interpolation module, which `shortest_lrr` leaves to `_field_basis`
+    over a field, with its lrr document."""
     out = []
     for gens, order in modules:
         G = buchberger(gens, order)
@@ -684,7 +687,8 @@ def _documents(modules, sequences, check):
             monic = enumerate_shortest(sol, cap=512)
         except EnumerationTooLarge:
             monic = None
-        out.append(render_lrr_doc(lrr_doc(sol, monic)))
+        G = buchberger(list(build_module(S)), TOP)
+        out.append(render_gb_doc(G) + render_lrr_doc(lrr_doc(sol, monic)))
     return out
 
 

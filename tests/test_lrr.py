@@ -7,19 +7,25 @@ import struct
 import pytest
 
 from pgroebner import (
+    TOP,
     EnumerationTooLarge,
+    IterationLimitExceeded,
+    MixedRings,
     Poly,
     SequenceInput,
     ZeroVector,
     Zpr,
     brute_force_shortest,
+    buchberger,
     build_module,
     enumerate_shortest,
     is_lrr,
+    lrr,
     parse_poly,
     shortest_lrr,
 )
-from pgroebner.lrr import _add_params, _solution_count
+from pgroebner.cli import main
+from pgroebner.lrr import _add_params, _field_basis, _solution_count
 from conftest import SEQ_Z5, SEQ_Z9A, SEQ_Z9B, Z4, Z5, Z8, Z9
 
 # every slot width of the packed enumeration, with both edges 2m == 2^W
@@ -113,6 +119,11 @@ class TestIsLrr:
     def test_wrong_polynomial_rejected(self):
         assert not is_lrr(parse_poly(Z5, "x^2+1"), S5())
 
+    def test_mixed_rings_raise(self):
+        # a Z_4 polynomial against a Z_9 sequence is an error, not a False
+        with pytest.raises(MixedRings):
+            is_lrr(Poly(Z4, (3, 1)), SequenceInput(Z9, (1, 8, 1)))
+
     def test_zero_polynomial_raises(self):
         with pytest.raises(ZeroVector):
             is_lrr(Poly.zero(Z5), S5())
@@ -148,6 +159,20 @@ class TestIsLrr:
                     assert is_lrr(f, S) == _is_lrr_reference(f, S), (S.values, str(f))
                     found += is_lrr(f, S)
         assert found > 100
+
+
+class TestSequenceInput:
+    @pytest.mark.parametrize("ring", [Zpr(3, 1), Zpr(3, 2)], ids=["field", "chain-ring"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", None], ids=["float", "integral-float", "str", "none"])
+    def test_non_integer_values_raise_type_error(self, ring, bad):
+        with pytest.raises(TypeError):
+            SequenceInput(ring, (1, bad))
+
+    @pytest.mark.parametrize("ring", [Zpr(3, 1), Zpr(3, 2)], ids=["field", "chain-ring"])
+    def test_integer_values_are_reduced(self, ring):
+        S = SequenceInput(ring, (1, -1, ring.modulus + 2))
+        assert S.values == (1, ring.modulus - 1, 2)
+        assert shortest_lrr(S).sequence == S.values
 
 
 class TestBuildModule:
@@ -485,3 +510,96 @@ class TestOracleEquivalence:
         sol = shortest_lrr(S9A())
         assert sol.length < (S9A().n + 1) / 2
         assert len(enumerate_shortest(sol)) == 3
+
+
+def _reference_basis(S):
+    """The completion of the interpolation module: the r = 1 reference of `_field_basis`."""
+    return buchberger(list(build_module(S)), TOP)
+
+
+def _field_sequences():
+    """Seeded sequences over fields up to n = 600, random and with long zero runs.
+
+    n = 600 takes the residuals past 512 slots, the fold's masks past one
+    block of a q = 2 vector, and a zero run of 540 or more an element past
+    two blocks of 256 degrees.
+    """
+    rng = random.Random(1995)
+    out = []
+    for ring in (Zpr(2, 1), Zpr(3, 1), Zpr(7, 1), Zpr(65521, 1)):
+        p = ring.p
+        for n in (*range(1, 25), 33, 64, 127, 255, 256, 257, 511, 512, 513, 600):
+            out.append(SequenceInput(ring, tuple(rng.randrange(p) for _ in range(n))))
+        for zeros in (599, 540, 300, 1):
+            tail = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(599 - zeros)]
+            out.append(SequenceInput(ring, (0,) * zeros + tuple(tail)))
+        out.append(SequenceInput(ring, (0,) * 600))
+    return out
+
+
+class TestFieldBasis:
+    """Over a field the basis is built term by term; `buchberger` stays its reference."""
+
+    @pytest.mark.parametrize("p, top_n", [(2, 10), (3, 6), (5, 4)])
+    def test_equals_completion_exhaustively(self, p, top_n):
+        ring = Zpr(p, 1)
+        for n in range(1, top_n + 1):
+            for values in itertools.product(range(p), repeat=n):
+                S = SequenceInput(ring, values)
+                assert _field_basis(S).elements == _reference_basis(S).elements, values
+
+    def test_equals_completion_on_seeded_sequences(self):
+        sequences = _field_sequences()
+        for S in sequences:
+            assert _field_basis(S).elements == _reference_basis(S).elements, (S.ring, S.values)
+        # the lead degrees reach the third block of 256 degrees
+        assert max(g.deg(TOP) for S in sequences for g in _field_basis(S)) > 512
+
+    @pytest.mark.parametrize("flags", [["--structured"], ["--all", "--structured"]], ids=["monic", "all"])
+    def test_documents_equal_the_completions(self, capsys, monkeypatch, flags):
+        sequences = [S for S in _field_sequences() if S.n in (1, 2, 7, 16, 33, 64)]
+        assert len(sequences) >= 20
+
+        def documents():
+            out = []
+            for S in sequences:
+                argv = ["lrr", "--ring", str(S.ring.modulus), "--seq", ",".join(map(str, S.values))]
+                code = main(argv + flags + ["--max-enum", "5000"])
+                out.append((code, capsys.readouterr().out))
+            return out
+
+        fast = documents()
+        monkeypatch.setattr(lrr, "_field_basis", _reference_basis)
+        assert documents() == fast
+        assert {code for code, _ in fast} == {0, 4}  # enumerated, and over the cap
+
+    def test_only_chain_rings_complete(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("buchberger called")
+
+        sequences = [SequenceInput(ring, (1, 2, 3, 5, 8, 13)) for ring in (Zpr(2, 1), Z5, Zpr(65521, 1))]
+        want = [shortest_lrr(S) for S in sequences]
+        monkeypatch.setattr(lrr, "buchberger", refuse)
+        assert [shortest_lrr(S) for S in sequences] == want
+        with pytest.raises(AssertionError, match="buchberger called"):
+            shortest_lrr(S9A())
+
+    def test_step_cap_is_one_step_per_term_and_refuses_first(self, monkeypatch):
+        S = SequenceInput(Zpr(2, 1), (1, 0, 1, 1, 0))
+        shortest_lrr(S, max_steps=6)
+
+        def refuse(S):
+            raise AssertionError("work before the cap")
+
+        monkeypatch.setattr(lrr, "_field_basis", refuse)
+        with pytest.raises(IterationLimitExceeded, match="6 steps exceed 5"):
+            shortest_lrr(S, max_steps=5)
+        with pytest.raises(IterationLimitExceeded):
+            shortest_lrr(S, max_steps=0)
+
+    @pytest.mark.parametrize("ring", ["2", "65521"])
+    def test_cli_step_cap_exit_code(self, capsys, ring):
+        argv = ["lrr", "--ring", ring, "--seq", "1,1,2,3,5,8", "--max-steps"]
+        assert main(argv + ["6"]) == 3
+        assert "7 steps exceed 6" in capsys.readouterr().err
+        assert main(argv + ["7"]) == 0
