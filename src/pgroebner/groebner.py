@@ -52,6 +52,15 @@ pops before (i, k).  As pairs of degree <= deg k pop at lcm degree deg k,
 by index, and the others by degree, first(j) is the earliest stair entry
 of degree <= deg k, else the last one.  Each is one bisect.  The live
 basis of a completion is its index; other callers index their list first.
+
+The loop runs on blocks.  `buchberger` carries each element's blocks,
+degree and ord (its lc is p^(r - ord) once normalized) and builds each
+pair vector from them by `_pair_vector`, as `is_groebner` does over
+normalized copies of its list; `normalize_lc` and `reduce_step` cache
+the leads they know, and a normalized reducer's quotient is c // lc.
+`normal_form`, `reduce_step`, the heap calls and `_partners` stay module
+globals, called once per pair vector, step, push and element: the
+benchmark's tracer counts at them (ROADMAP aim 4), and tests replace them.
 """
 
 from __future__ import annotations
@@ -74,7 +83,7 @@ from .errors import (
     ValidationFailed,
     ZeroVector,
 )
-from .polyvec import Monomial, MonomialOrder, Poly, PolyVec, combine
+from .polyvec import Monomial, MonomialOrder, Poly, PolyVec, _axpy, _Layout, _lead, combine
 from .ring import Zpr
 
 DEFAULT_MAX_STEPS = 10**6
@@ -97,13 +106,11 @@ def lead_data(f: PolyVec, order: MonomialOrder) -> LeadData:
 
 
 def normalize_lc(f: PolyVec, order: MonomialOrder) -> PolyVec:
-    """Scale f by a unit so lc(f) becomes exactly p^(r - ord(f))."""
+    """Scale f by a unit so lc(f) becomes exactly p^(r - ord(f)); its lead stays cached."""
     ring = f.ring
-    c, _, o = f.lead(order)
-    u = c // ring.p ** (ring.r - o)
-    if u == 1:
-        return f
-    return f.scale(pow(u, -1, ring.modulus))
+    c, m, o = f.lead(order)
+    pe = ring.p ** (ring.r - o)
+    return f if c == pe else f.scale(pow(c // pe, -1, ring.modulus), order, (pe, m, o))
 
 
 def _quotient(ring: Zpr, target: int, by: int, vb: int) -> int:
@@ -166,54 +173,58 @@ def _indexed(F: list[PolyVec], order: MonomialOrder) -> _ReducerIndex:
     return index
 
 
-def reduce_step(f: PolyVec, F: list[PolyVec], order: MonomialOrder) -> PolyVec:
-    """One full cancellation of lt(f) by an element of F.
+def reduce_step(
+    f: PolyVec, F: list[PolyVec], order: MonomialOrder, *, by: PolyVec | None = None
+) -> PolyVec:
+    """One full cancellation of lt(f) by an element of F: by, if the caller has picked it.
 
-    Returns h with h = 0 or lm(h) < lm(f); raises NotReducible when no
-    element of F can cancel the leading term (f is minimal with respect
-    to F).
+    Returns h with h = 0 or lm(h) < lm(f), its lead cached; raises
+    NotReducible when no element of F can cancel the leading term (f is
+    minimal with respect to F), or when lt(by) does not divide lt(f).
     """
     if f.is_zero():
         raise ZeroVector("cannot reduce the zero vector")
     c, m, o = f.lead(order)
-    g = _indexed(F, order).pick(m, o)
+    g = _indexed(F, order).pick(m, o) if by is None else by
     if g is None:
         raise NotReducible("leading term not cancellable by the given reducers")
     gc, gm, go = g.lead(order)
-    ring = f.ring
-    h = f.sub_term_mul(g, _quotient(ring, c, gc, ring.r - go), m.alpha - gm.alpha)
-    assert h.is_zero() or order.compare(h.lm(order), m) < 0
-    return h
+    if gm.pos != m.pos or gm.alpha > m.alpha or go < o:
+        raise NotReducible("the given reducer's leading term does not divide lt(f)")
+    lay = f._lay
+    if g._lay is not lay:
+        f._check(g)
+    # a normalized lc p^(r - go) divides the modulus, and c // gc is then the quotient
+    quo = _quotient(f.ring, c, gc, f.ring.r - go) if lay.m % gc else c // gc
+    blocks = _axpy(lay, f._blocks, g._blocks, lay.m - quo, m.alpha - gm.alpha)
+    lead = _lead(lay, blocks, order) if blocks else None
+    assert lead is None or order.key(lead[1]) < order.key(m)
+    return f._like(blocks, order, lead)
 
 
 def normal_form(f: PolyVec, F: list[PolyVec], order: MonomialOrder) -> PolyVec:
     """Iterate reduce_step until the result is zero or minimal with respect to F."""
     if not f.is_zero():
         F = _indexed(F, order)
-    while not f.is_zero():
-        try:
-            f = reduce_step(f, F, order)
-        except NotReducible:
-            break
+    # until a lead that no element of F cancels (lead()[1:] is (lm, ord))
+    while f._blocks and (g := F.pick(*f.lead(order)[1:])) is not None:
+        f = reduce_step(f, F, order, by=g)
     return f
 
 
-def _s_vector(older: PolyVec, newer: PolyVec, order: MonomialOrder) -> PolyVec:
-    """S-pair vector for two elements with equal leading position."""
-    ring = older.ring
-    c1, m1, o1 = older.lead(order)
-    c2, m2, o2 = newer.lead(order)
-    assert m1.pos == m2.pos
-    lcm_deg = max(m1.alpha, m2.alpha)
-    r = ring.r
-    target = ring.p ** (r - min(o1, o2))
-    t2 = newer.term_mul(_quotient(ring, target, c2, r - o2), lcm_deg - m2.alpha)
-    return t2.sub_term_mul(older, _quotient(ring, target, c1, r - o1), lcm_deg - m1.alpha)
+def _pair_vector(lay: _Layout, pw: list[int], older: tuple, newer: tuple) -> tuple[int, ...]:
+    """The blocks of the pair vector of two elements at one leading position.
 
-
-def _annihilator_vector(g: PolyVec, order: MonomialOrder) -> PolyVec:
-    """p^ord(g) * g: the smallest p-power multiple that kills the leading term."""
-    return g.scale(g.ring.p ** g.ord(order))
+    Each is carried as (blocks, degree, ord), its lc normalized to p^(r - ord);
+    pw[e] is p^e.  One element g gives p^ord(g) * g; two give the S-vector,
+    each lc scaled to p^(r - min ord), newer minus older.
+    """
+    bk, ak, ok = newer
+    if older is newer:
+        return _axpy(lay, (), bk, pw[ok], 0)
+    bi, ai, oi = older
+    lcm, low = max(ai, ak), min(oi, ok)
+    return _axpy(lay, _axpy(lay, (), bk, pw[ok - low], lcm - ak), bi, lay.m - pw[oi - low], lcm - ai)
 
 
 def _minimalize_elements(
@@ -249,19 +260,19 @@ def _cancel_unit_tails(
     by a unit combination, whose leading term is covered), so the order of
     cancellation cannot matter.  A non-minimal list may hold two units at
     one position; validation then fails on leading data, which cancellation
-    never touches.
+    never touches.  Only the unit positions that g holds are probed.
     """
     units: dict[int, tuple[int, PolyVec]] = {}  # position -> (degree, its unit)
     out = []
     for g in reversed(elements):
         _, lead, o = g.lead(order)
         # the top tail term c*x^alpha of each unit's position, if the unit covers it
-        while covered := [
-            (order.key(Monomial(top[1], pos)), top, deg, h)
-            for pos, (deg, h) in units.items()
+        while units and (covered := [
+            (order.key(Monomial(top[1], pos)), top, *units[pos])
+            for pos in units.keys() & g._lay.positions(g._blocks)
             if (top := g._lane_lead(pos, lead.alpha if pos == lead.pos else None))
-            and top[1] >= deg
-        ]:
+            and top[1] >= units[pos][0]
+        ]):
             _, (c, alpha), deg, h = max(covered, key=itemgetter(0))
             # lc(h) == 1 after normalization, so the quotient is the coefficient itself
             g = g.sub_term_mul(h, c, alpha - deg)
@@ -412,41 +423,39 @@ def buchberger(
     rather than expected behavior.
     """
     ring, _ = _check_inputs(generators)
+    pw = [ring.p**e for e in range(ring.r + 1)]
     basis = _ReducerIndex(order)
+    carried: list[tuple[tuple[int, ...], int, int]] = []  # per element: blocks, degree, ord
     heap: list[tuple[tuple[int, int], int, int]] = []  # (lcm key, newer, older)
     queued = itertools.count()
 
-    def push(mono: Monomial, k: int, i: int) -> None:
+    def push(alpha: int, pos: int, k: int, i: int) -> None:
         if next(queued) >= max_steps:  # this would be pair max_steps + 1
             raise IterationLimitExceeded(f"exceeded {max_steps} queued pairs")
-        heapq.heappush(heap, (order.key(mono), k, i))
+        heapq.heappush(heap, (order.key((alpha, pos)), k, i))
 
     def add_element(g: PolyVec) -> None:
         g = normalize_lc(g, order)
         k = len(basis)
-        _, km, k_ord = g.lead(order)
-        alpha, pos = km
+        _, (alpha, pos), k_ord = g.lead(order)
         partners = _partners(basis, alpha, pos, k_ord)
         basis.append(g)
+        carried.append((g._blocks, alpha, k_ord))
         for neg, i, _ in partners:
-            push(Monomial(max(-neg, alpha), pos), k, i)
+            push(max(-neg, alpha), pos, k, i)
         if k_ord < ring.r:
-            push(km, k, k)  # annihilator pair
+            push(alpha, pos, k, k)  # annihilator pair
 
     for g in generators:
         add_element(g)
 
+    lay = basis[0]._lay
     while heap:
         _, k, i = heapq.heappop(heap)
-        if i == k:
-            vec = _annihilator_vector(basis[k], order)
-        else:
-            vec = _s_vector(basis[i], basis[k], order)
-        if vec.is_zero():
-            continue
-        h = normal_form(vec, basis, order)
-        if not h.is_zero():
-            add_element(h)
+        if vec := _pair_vector(lay, pw, carried[i], carried[k]):
+            h = normal_form(basis[0]._like(vec), basis, order)
+            if not h.is_zero():
+                add_element(h)
 
     return GroebnerBasis.from_elements(_minimalize_elements(basis, order), order)
 
@@ -460,16 +469,15 @@ def minimalize(G: list[PolyVec], order: MonomialOrder) -> GroebnerBasis:
 def is_groebner(G: list[PolyVec], order: MonomialOrder) -> bool:
     """Buchberger criterion: every S-pair and annihilator pair reduces to zero."""
     ring, _ = _check_inputs(G)
-    index = _indexed(G, order)
-    for i, g in enumerate(G):
-        if g.ord(order) < ring.r:
-            if not normal_form(_annihilator_vector(g, order), index, order).is_zero():
-                return False
-        for j in range(i + 1, len(G)):
-            if g.lpos(order) != G[j].lpos(order):
-                continue
-            vec = _s_vector(g, G[j], order)
-            if not normal_form(vec, index, order).is_zero():
+    # unit multiples have the same leading terms, so normalizing keeps the answer
+    G = [normalize_lc(g, order) for g in G]
+    index, pw, lay = _indexed(G, order), [ring.p**e for e in range(ring.r + 1)], G[0]._lay
+    leads = [g.lead(order)[1:] for g in G]  # (lm, ord)
+    carried = [(g._blocks, m.alpha, o) for g, (m, o) in zip(G, leads)]
+    for i, (mi, _) in enumerate(leads):
+        for j in range(i, len(G)):  # the annihilator pair, then the S-pairs at one position
+            vec = leads[j][0].pos == mi.pos and _pair_vector(lay, pw, carried[i], carried[j])
+            if vec and not normal_form(G[0]._like(vec), index, order).is_zero():
                 return False
     return True
 

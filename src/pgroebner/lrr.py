@@ -96,15 +96,12 @@ def is_lrr(f: Poly, S: SequenceInput) -> bool:
 
 
 def build_module(S: SequenceInput) -> tuple[PolyVec, PolyVec]:
-    """Generators ([1, -S(x)], [0, x^(n+1)]) of the interpolation module."""
-    ring, n = S.ring, S.n
-    coeffs = [0] * (n + 1)
-    for i, v in enumerate(S.values):
-        coeffs[n - i] = v
-    s_poly = Poly(ring, coeffs)
-    s1 = PolyVec.from_components(ring, [Poly.constant(ring, 1), -s_poly])
-    s2 = PolyVec.from_components(ring, [Poly.zero(ring), Poly.monomial(ring, 1, n + 1)])
-    return s1, s2
+    """Generators ([1, -S(x)], [0, x^(n+1)]) of the interpolation module, each
+    packed as one int: degree a > 0 of the first is the slots (0, -S_(n-a))."""
+    lay, m, zero = _layout(S.ring, 2), S.ring.modulus, PolyVec.zero(S.ring, 2)
+    degree = f"0{lay.dw}b"
+    s1 = int("".join([format(-v % m, degree) for v in S.values]) + format(1 << lay.W, degree), 2)
+    return zero._like(lay.blocks(s1)), zero._like(lay.blocks(1 << (S.n + 1) * lay.dw))
 
 
 def _field_basis(S: SequenceInput) -> GroebnerBasis:
@@ -142,10 +139,8 @@ def _field_basis(S: SequenceInput) -> GroebnerBasis:
             a, rb = a << lay.dw, rb >> W
         else:
             ra, rb = ra >> W, rb >> W
-    zero, block = PolyVec.zero(S.ring, 2), (1 << lay.bw) - 1
-    return GroebnerBasis.from_elements(
-        [zero._like(tuple(x >> i & block for i in range(0, x.bit_length(), lay.bw))) for x in (a, b)],
-        TOP)
+    zero = PolyVec.zero(S.ring, 2)
+    return GroebnerBasis.from_elements([zero._like(lay.blocks(a)), zero._like(lay.blocks(b))], TOP)
 
 
 def shortest_lrr(S: SequenceInput, max_steps: int = DEFAULT_MAX_STEPS) -> LrrSolution:

@@ -93,18 +93,21 @@ def build_p_basis(G: GroebnerBasis) -> PBasis:
 
     The p-generator-sequence property is checked at the chain ends only.
     Within a chain p * v_i is the next vector by construction: both are
-    p^(e+1) * g_j, built by `scale`.  G's validation makes each lc
-    p^(r - ord) and the ords of a position strictly fall, so the chains of
-    a position hold disjoint p-power layers and no two vectors share a
-    leading position and order.  p times a chain end must be re-expressed
-    in digit coordinates over the later vectors, the expression re-evaluated
-    for exact equality, and p times the last vector must be zero; either
-    can fail for a parsed document.  A failure raises ValidationFailed.
+    p^(e+1) * g_j, built by `scale`, its leading data read off g_j's.  G's
+    validation makes each lc p^(r - ord) and the ords of a position
+    strictly fall, so the chains of a position hold disjoint p-power
+    layers and no two vectors share a leading position and order.  p times
+    a chain end must be re-expressed in digit coordinates over the later
+    vectors, the expression re-evaluated for exact equality, and p times
+    the last vector must be zero; either can fail for a parsed document.
+    A failure raises ValidationFailed.
     """
     ring, order = G.ring, G.order
     betas = order_differences(G).betas
     provenance = tuple((j, e) for j, b in enumerate(betas) for e in range(b))
-    vectors = tuple(G.elements[j].scale(ring.p**e) for j, e in provenance)
+    leads = G.leads  # p^e * g_j keeps lm(g_j); its lc p^(r - ord) becomes p^(r - ord + e)
+    vectors = tuple(G.elements[j].scale(ring.p**e, order, (
+        ring.p ** (ring.r - leads[j].ord + e), leads[j].lm, leads[j].ord - e)) for j, e in provenance)
     end = -1
     for b in betas:
         end += b

@@ -69,11 +69,11 @@ class MonomialOrder(enum.Enum):
     TOP = "TOP"
     POT = "POT"
 
-    def key(self, m: Monomial) -> tuple[int, int]:
-        """Sort key: larger key means larger monomial."""
+    def key(self, m: tuple[int, int]) -> tuple[int, int]:
+        """Sort key of a Monomial or an (alpha, pos) pair: larger key means larger monomial."""
         if self is MonomialOrder.TOP:
-            return (m.alpha, -m.pos)
-        return (-m.pos, m.alpha)
+            return (m[0], -m[1])
+        return (-m[1], m[0])
 
     def compare(self, x: Monomial, y: Monomial) -> int:
         """-1, 0, or 1 as x <, =, > y."""
@@ -294,6 +294,22 @@ class _Layout:
             lane = self._lanes[e] = int(format(self.smask, f"0{self.dw}b") * degrees, 2)
         return lane
 
+    def blocks(self, x: int) -> tuple[int, ...]:
+        """The blocks of a vector packed into the one int x."""
+        return tuple(x >> i & (1 << self.bw) - 1 for i in range(0, x.bit_length(), self.bw))
+
+    def positions(self, blocks: Sequence[int]) -> set[int]:
+        """The positions of the nonzero slots of the blocks, one pass over their OR per position."""
+        x = 0
+        for b in blocks:
+            x |= b
+        lane, out = self.lane(x), set()
+        while x:
+            s = (x.bit_length() - 1) // self.W % self.q  # the top slot's, of position q - s
+            out.add(self.q - s)
+            x &= ~(lane << s * self.W)
+        return out
+
     def pack(self, rows: Sequence[Sequence[int]]) -> int:
         """The block whose degree a has the residues rows[a], position 1 first."""
         fmt = f"0{self.W}b"
@@ -346,6 +362,29 @@ def _axpy(lay: _Layout, f: tuple[int, ...], g: tuple[int, ...], c: int,
     if carry:
         out[len(g) + k] = fold(out[len(g) + k] + carry)
     return _strip(out)
+
+
+def _lead(lay: _Layout, blocks: tuple[int, ...], order: MonomialOrder) -> tuple[int, Monomial, int]:
+    """(lc, lm, ord(lc)) of nonzero blocks: the one scan of `PolyVec.lead`."""
+    q, W = lay.q, lay.W
+    if order is TOP or q == 1:
+        x = blocks[-1]
+        j = (x.bit_length() - 1) // W
+        a, s = divmod(j, q)
+        alpha, pos = (len(blocks) - 1) * BLOCK + a, q - s
+    else:
+        # the first position with a term, then its top block with one
+        lane = lay.lane(max(blocks))
+        for pos in range(1, q + 1):
+            i = len(blocks) - 1
+            while not (x := blocks[i] >> (q - pos) * W & lane) and i:
+                i -= 1
+            if x:
+                break
+        j = (x.bit_length() - 1) // W
+        alpha = i * BLOCK + j // q
+    c = x >> j * W & lay.smask
+    return c, _new_tuple(Monomial, (alpha, pos)), lay.ord(c)
 
 
 class PolyVec:
@@ -402,14 +441,16 @@ class PolyVec:
         self._top = self._pot = None
         self._terms = clean
 
-    def _like(self, blocks: tuple[int, ...]) -> "PolyVec":
-        """A vector of this ring and dimension over canonical blocks, unchecked."""
+    def _like(self, blocks: tuple[int, ...], order: MonomialOrder | None = None,
+              lead: tuple[int, Monomial, int] | None = None) -> "PolyVec":
+        """A vector of this ring and dimension over canonical blocks, unchecked; lead is cached."""
         v = _new_object(PolyVec)
         v.ring = self.ring
         v.q = self.q
         v._lay = self._lay
         v._blocks = blocks
-        v._top = v._pot = v._terms = None
+        v._top, v._pot = (lead, None) if order is TOP else (None, lead)
+        v._terms = None
         return v
 
     # -- constructors ----------------------------------------------------------
@@ -487,10 +528,12 @@ class PolyVec:
     def __neg__(self) -> "PolyVec":
         return self.scale(-1)
 
-    def scale(self, c: int) -> "PolyVec":
+    def scale(self, c: int, order: MonomialOrder | None = None,
+              lead: tuple[int, Monomial, int] | None = None) -> "PolyVec":
+        """c * self, with lead, if given, cached as its leading data under order."""
         fold = self._lay.fold
         c %= self._lay.m
-        return self._like(_strip([fold(c * x) for x in self._blocks]))
+        return self._like(_strip([fold(c * x) for x in self._blocks]), order, lead)
 
     def term_mul(self, c: int, gamma: int) -> "PolyVec":
         """Multiply by the scalar term c * x^gamma."""
@@ -546,29 +589,9 @@ class PolyVec:
         return x >> j * lay.W & lay.smask, i * BLOCK + j // lay.q
 
     def _scan(self, order: MonomialOrder) -> tuple[int, Monomial, int]:
-        blocks, lay = self._blocks, self._lay
-        if not blocks:
+        if not self._blocks:
             raise ZeroVector("zero vector has no leading monomial")
-        q = lay.q
-        if order is TOP or q == 1:
-            x = blocks[-1]
-            j = (x.bit_length() - 1) // lay.W
-            c = x >> j * lay.W & lay.smask
-            a, s = divmod(j, q)
-            m = _new_tuple(Monomial, ((len(blocks) - 1) * BLOCK + a, q - s))
-        else:
-            # the first position with a term, then its top block with one
-            lane, W = lay.lane(max(blocks)), lay.W
-            for pos in range(1, q + 1):
-                i = len(blocks) - 1
-                while not (x := blocks[i] >> (q - pos) * W & lane) and i:
-                    i -= 1
-                if x:
-                    break
-            j = (x.bit_length() - 1) // lay.W
-            c = x >> j * lay.W & lay.smask
-            m = _new_tuple(Monomial, (i * BLOCK + j // q, pos))
-        return c, m, lay.ord(c)
+        return _lead(self._lay, self._blocks, order)
 
     def lm(self, order: MonomialOrder) -> Monomial:
         """Leading monomial; raises ZeroVector on the zero vector."""

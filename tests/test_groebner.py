@@ -50,6 +50,7 @@ from conftest import (
     SEQ_Z5,
     SEQ_Z9A,
     SEQ_Z9B,
+    Z4,
     Z5,
     Z9,
     rows,
@@ -93,6 +94,18 @@ class TestReduceStep:
         f = vec(Z9, "[x^2, 0]")
         with pytest.raises(NotReducible):
             reduce_step(f, [vec(Z9, "[3x, 0]")], TOP)
+
+    def test_given_reducer_must_divide_the_leading_term(self):
+        f = vec(Z9, "[3x^2, 0]")
+        # another position, a higher degree, then a lower ord than f's
+        for by in ("[0, x]", "[x^3, 0]"):
+            with pytest.raises(NotReducible):
+                reduce_step(f, [], TOP, by=vec(Z9, by))
+        with pytest.raises(NotReducible):
+            reduce_step(vec(Z9, "[x^2, 0]"), [], TOP, by=vec(Z9, "[3x, 0]"))
+        # a dividing reducer need not come from F: one step, its lead cached
+        h = reduce_step(f, [], TOP, by=vec(Z9, "[x + 1, 0]"))
+        assert h == vec(Z9, "[6x, 0]") and h._top == h._scan(TOP)
 
     def test_strict_descent_along_normal_form(self):
         rng = random.Random(11)
@@ -547,6 +560,37 @@ class TestFinishByPosition:
                         )
                         cancelled += tails != norm
         assert kept_ties > 300 and cancelled > 80, (kept_ties, cancelled)
+
+    def test_wide_finish_equals_the_reference(self):
+        # wide modules: many units, most at positions an element does not hold
+        rng = random.Random(66)
+        cancelled = 0
+        for ring in self.RINGS:
+            for q in (5, 8, 12):
+                for order in (TOP, POT):
+                    for _ in range(6):
+                        elements = _finish_inputs(rng, ring, q, rng.randrange(8, 30))
+                        norm = [normalize_lc(g, order) for g in _reference_minimalize(elements, order)]
+                        tails = _reference_cancel_unit_tails(norm, order)
+                        assert _cancel_unit_tails(norm, order) == tails
+                        cancelled += tails != norm
+        assert cancelled > 40, cancelled
+
+    def test_finish_probes_grow_linearly_in_q(self, monkeypatch):
+        # Z_4 staircase: x^2*e_k, plus e_(k+1) at odd k, plus 2x*e_k where 3
+        # divides k.  Probing every unit position for every element took
+        # 1,124,250 probes at q = 1500.
+        q, probes = 1500, []
+        gens = []
+        for k in range(1, q + 1):
+            gens.append(PolyVec(Z4, q, {Monomial(2, k): 1, **({Monomial(0, k + 1): 1} if k % 2 and k < q else {})}))
+            if k % 3 == 0:
+                gens.append(PolyVec(Z4, q, {Monomial(1, k): 2}))
+        lane_lead = PolyVec._lane_lead
+        monkeypatch.setattr(PolyVec, "_lane_lead", lambda g, *a: (probes.append(1), lane_lead(g, *a))[1])
+        G = buchberger(gens, TOP)
+        assert len(G) == q + q // 2
+        assert len(probes) <= q, len(probes)
 
     def test_non_minimal_lists_keep_their_leading_data(self):
         rng = random.Random(64)

@@ -74,6 +74,19 @@ class TestBuildPBasis:
         basis = build_p_basis(G)
         assert list(basis.vectors) == list(G.elements)
 
+    def test_leads_are_cached_as_built_and_equal_a_fresh_scan(self):
+        # p^e * g_j gets lm(g_j), lc p^(r - ord + e) and ord ord - e as it is
+        # built, so `_represent` and the lrr pivot search scan no vector again
+        rng = random.Random(1403)
+        vectors = 0
+        for basis in _represent_bases(rng):
+            order = basis.order
+            for v in basis.vectors:
+                assert (v._top if order is TOP else v._pot) is not None
+                assert v.lead(order) == v._scan(order)
+                vectors += 1
+        assert vectors > 400, vectors
+
     def test_position_order_pairs_distinct(self):
         for basis in (build_p_basis(z9a_top_basis()), build_p_basis(z9a_pot_basis())):
             seen = set()

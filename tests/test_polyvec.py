@@ -285,7 +285,7 @@ class TestTrustedConstruction:
         return PolyVec(f.ring, f.q, terms)
 
     def test_results_equal_the_checked_constructor(self):
-        from pgroebner.groebner import _s_vector, normalize_lc
+        from pgroebner.groebner import _pair_vector, normalize_lc
 
         rng = random.Random(44)
         zero_on_absent = 0
@@ -310,7 +310,14 @@ class TestTrustedConstruction:
                                 (normalize_lc(g, order), self._reference(zero, g, -pow(u, -1, m), 0))
                             )
                         if not f.is_zero() and not g.is_zero() and f.lpos(order) == g.lpos(order):
-                            cases.append((_s_vector(f, g, order), None))
+                            # the S-vector and g's annihilator vector, over normalized lcs
+                            pw = [p**e for e in range(ring.r + 1)]
+                            older, newer = (
+                                (v._blocks, v.lm(order).alpha, v.ord(order))
+                                for v in (normalize_lc(f, order), normalize_lc(g, order))
+                            )
+                            cases.append((f._like(_pair_vector(f._lay, pw, older, newer)), None))
+                            cases.append((f._like(_pair_vector(f._lay, pw, newer, newer)), None))
                     for got, want in cases:
                         self._assert_canonical(got)
                         if want is not None:
@@ -507,6 +514,18 @@ class TestPackedAgainstDictReference:
                          for _ in range(n)]
                 x = sum(s << j * lay.W for j, s in enumerate(slots))
                 assert lay.fold(x) == sum(s % m << j * lay.W for j, s in enumerate(slots))
+
+
+    def test_positions_are_those_of_the_terms(self):
+        rng = random.Random(177)
+        for ring in PACKED_RINGS:
+            for q in (1, 2, 5, 13):
+                lay = _layout(ring, q)
+                for _ in range(20):
+                    top = rng.choice((3, BLOCK, 3 * BLOCK))
+                    v = PolyVec(ring, q, {Monomial(rng.randrange(top), rng.randint(1, q)):
+                                          rng.randrange(ring.modulus) for _ in range(rng.randrange(6))})
+                    assert lay.positions(v._blocks) == {m.pos for m in v.terms}
 
 
 class TestSparseInputsStayLinear:
