@@ -237,8 +237,6 @@ def _cmd_lrr(args: argparse.Namespace) -> int:
         values = tuple(_decimal(v) for v in args.seq.split(","))
     except ValueError as exc:
         raise ParseError(f"bad sequence {args.seq!r}") from exc
-    if not values:
-        raise ParseError("empty sequence")
     S = SequenceInput(ring, values)
     cap = _max_enum(args)
     sol = shortest_lrr(S, max_steps=_max_steps(args))

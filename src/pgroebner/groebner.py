@@ -83,7 +83,7 @@ from .errors import (
     ValidationFailed,
     ZeroVector,
 )
-from .polyvec import Monomial, MonomialOrder, Poly, PolyVec, _axpy, _Layout, _lead, combine
+from .polyvec import Monomial, MonomialOrder, Poly, PolyVec, _axpy, _Layout, _lane_top, _lead, combine
 from .ring import Zpr
 
 DEFAULT_MAX_STEPS = 10**6
@@ -270,7 +270,7 @@ def _cancel_unit_tails(
         while units and (covered := [
             (order.key(Monomial(top[1], pos)), top, *units[pos])
             for pos in units.keys() & g._lay.positions(g._blocks)
-            if (top := g._lane_lead(pos, lead.alpha if pos == lead.pos else None))
+            if (top := _lane_top(g._lay, g._blocks, pos, lead.alpha if pos == lead.pos else None))
             and top[1] >= units[pos][0]
         ]):
             _, (c, alpha), deg, h = max(covered, key=itemgetter(0))

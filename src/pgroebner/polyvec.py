@@ -13,7 +13,9 @@ tuple; `PolyVec` is a vector of such polynomials packed into ints, one per
 block of BLOCK degrees, a W-bit slot per coefficient (Kronecker
 substitution), so that an update f - c*x^gamma*g is a shift, a multiply, an
 add and a slotwise reduction per block.  Both are immutable values: every
-operation returns a new object, so they are safe to share freely.
+operation returns a new object, so they are safe to share freely.  A
+PolyVec caches only its leading data, under the last order asked for, as
+one (order, lead) pair replaced whole; its `terms` dict is built per call.
 
 Text grammar (used by the CLI and fixtures)::
 
@@ -364,6 +366,24 @@ def _axpy(lay: _Layout, f: tuple[int, ...], g: tuple[int, ...], c: int,
     return _strip(out)
 
 
+def _lane_top(lay: _Layout, blocks: tuple[int, ...], pos: int,
+              below: int | None = None) -> tuple[int, int] | None:
+    """(c, alpha) of the top term c*x^alpha*e_pos of the blocks with alpha < below, or None."""
+    shift = (lay.q - pos) * lay.W  # brings position pos to the slots of position q
+    top = len(blocks) * BLOCK
+    i, a = divmod(top if below is None else min(below, top), BLOCK)
+    x = blocks[i] >> shift & (1 << a * lay.dw) - 1 if a else 0
+    x &= lay.lane(x)
+    while not x and i:
+        i -= 1
+        x = blocks[i] >> shift
+        x &= lay.lane(x)
+    if not x:
+        return None
+    j = (x.bit_length() - 1) // lay.W
+    return x >> j * lay.W & lay.smask, i * BLOCK + j // lay.q
+
+
 def _lead(lay: _Layout, blocks: tuple[int, ...], order: MonomialOrder) -> tuple[int, Monomial, int]:
     """(lc, lm, ord(lc)) of nonzero blocks: the one scan of `PolyVec.lead`."""
     q, W = lay.q, lay.W
@@ -371,19 +391,12 @@ def _lead(lay: _Layout, blocks: tuple[int, ...], order: MonomialOrder) -> tuple[
         x = blocks[-1]
         j = (x.bit_length() - 1) // W
         a, s = divmod(j, q)
-        alpha, pos = (len(blocks) - 1) * BLOCK + a, q - s
+        c, alpha, pos = x >> j * W & lay.smask, (len(blocks) - 1) * BLOCK + a, q - s
     else:
-        # the first position with a term, then its top block with one
-        lane = lay.lane(max(blocks))
-        for pos in range(1, q + 1):
-            i = len(blocks) - 1
-            while not (x := blocks[i] >> (q - pos) * W & lane) and i:
-                i -= 1
-            if x:
-                break
-        j = (x.bit_length() - 1) // W
-        alpha = i * BLOCK + j // q
-    c = x >> j * W & lay.smask
+        pos = 1
+        while not (top := _lane_top(lay, blocks, pos)):
+            pos += 1
+        c, alpha = top
     return c, _new_tuple(Monomial, (alpha, pos)), lay.ord(c)
 
 
@@ -408,25 +421,24 @@ class PolyVec:
     after 150 s over Z_65521.
 
     Immutability is load-bearing: the leading data (lc, lm, ord(lc)) is
-    computed on first request and cached once per order, and `terms`, a
-    monomial -> residue dict, is a view derived from the blocks on first
-    request and cached; it must never be mutated.  Neither cache is part of
-    the value (`__eq__` and `__hash__` ignore them).
+    computed on request and cached as one (order, lead) pair, rescanned
+    when another order is asked for.  The pair is replaced in one
+    assignment, so a reader on another thread never sees one order's lead
+    under the other order.  The cache is not part of the value (`__eq__`
+    and `__hash__` ignore it).  `terms` builds a new dict on each call.
     """
 
-    __slots__ = ("ring", "q", "_lay", "_blocks", "_top", "_pot", "_terms")
+    __slots__ = ("ring", "q", "_lay", "_blocks", "_cache")
 
     def __init__(self, ring: Zpr, q: int, terms: dict[Monomial, int] | None = None):
         if q < 1:
             raise DimensionMismatch(f"ambient dimension must be >= 1, got {q}")
-        clean: dict[Monomial, int] = {}
         rows: dict[int, list[list[int]]] = {}  # block -> its degrees' residues
         for mono, c in (terms or {}).items():
             if not (1 <= mono.pos <= q) or mono.alpha < 0:
                 raise DimensionMismatch(f"monomial {mono} outside ambient space q={q}")
             c = ring.reduce(c)
             if c:
-                clean[mono] = c
                 b, a = divmod(mono.alpha, BLOCK)
                 block_rows = rows.setdefault(b, [])
                 block_rows += [[0] * q for _ in range(a + 1 - len(block_rows))]
@@ -438,8 +450,7 @@ class PolyVec:
         for b, block_rows in rows.items():
             blocks[b] = self._lay.pack(block_rows)
         self._blocks = tuple(blocks)
-        self._top = self._pot = None
-        self._terms = clean
+        self._cache = (None, None)
 
     def _like(self, blocks: tuple[int, ...], order: MonomialOrder | None = None,
               lead: tuple[int, Monomial, int] | None = None) -> "PolyVec":
@@ -449,8 +460,7 @@ class PolyVec:
         v.q = self.q
         v._lay = self._lay
         v._blocks = blocks
-        v._top, v._pot = (lead, None) if order is TOP else (None, lead)
-        v._terms = None
+        v._cache = (None, None) if lead is None else (order, lead)
         return v
 
     # -- constructors ----------------------------------------------------------
@@ -488,15 +498,13 @@ class PolyVec:
 
     @property
     def terms(self) -> dict[Monomial, int]:
-        """The nonzero terms as monomial -> residue, derived once from the blocks."""
-        if self._terms is None:
-            self._terms = {
-                Monomial(alpha, pos): c
-                for pos, f in enumerate(self.components(), 1)
-                for alpha, c in enumerate(f.coeffs)
-                if c
-            }
-        return self._terms
+        """The nonzero terms as monomial -> residue, in a new dict built from the blocks."""
+        return {
+            Monomial(alpha, pos): c
+            for pos, f in enumerate(self.components(), 1)
+            for alpha, c in enumerate(f.coeffs)
+            if c
+        }
 
     # -- basic structure -------------------------------------------------------
 
@@ -537,11 +545,11 @@ class PolyVec:
 
     def term_mul(self, c: int, gamma: int) -> "PolyVec":
         """Multiply by the scalar term c * x^gamma."""
-        if gamma < 0:  # left to the public checks: a term may fall below x^0
+        c %= self._lay.m
+        if c and gamma < 0:  # left to the public checks: a term may fall below x^0
             return PolyVec(
                 self.ring, self.q, {m.shifted(gamma): c * v for m, v in self.terms.items()}
             )
-        c %= self._lay.m
         return self._like(_axpy(self._lay, (), self._blocks, c, gamma) if c else ())
 
     def sub_term_mul(self, other: "PolyVec", c: int, gamma: int) -> "PolyVec":
@@ -562,31 +570,12 @@ class PolyVec:
     # -- leading data under an order ---------------------------------------------
 
     def lead(self, order: MonomialOrder) -> tuple[int, Monomial, int]:
-        """(lc, lm, ord(lc)), computed once per order; raises ZeroVector on zero."""
-        if order is TOP:
-            if self._top is None:
-                self._top = self._scan(order)
-            return self._top
-        if self._pot is None:
-            self._pot = self._scan(order)
-        return self._pot
-
-    def _lane_lead(self, pos: int, below: int | None = None) -> tuple[int, int] | None:
-        """(c, alpha) of the top term c*x^alpha*e_pos with alpha < below, or None."""
-        blocks, lay = self._blocks, self._lay
-        shift = (lay.q - pos) * lay.W  # brings position pos to the slots of position q
-        top = len(blocks) * BLOCK
-        i, a = divmod(top if below is None else min(below, top), BLOCK)
-        x = blocks[i] >> shift & (1 << a * lay.dw) - 1 if a else 0
-        x &= lay.lane(x)
-        while not x and i:
-            i -= 1
-            x = blocks[i] >> shift
-            x &= lay.lane(x)
-        if not x:
-            return None
-        j = (x.bit_length() - 1) // lay.W
-        return x >> j * lay.W & lay.smask, i * BLOCK + j // lay.q
+        """(lc, lm, ord(lc)), cached under the last order asked; raises ZeroVector on zero."""
+        cached, lead = self._cache
+        if cached is not order:
+            lead = self._scan(order)
+            self._cache = (order, lead)
+        return lead
 
     def _scan(self, order: MonomialOrder) -> tuple[int, Monomial, int]:
         if not self._blocks:

@@ -171,7 +171,8 @@ def _cases():
 
 
 def _cached(v, order):
-    return v._top if order is TOP else v._pot
+    cached, lead = v._cache
+    return lead if cached is order else None
 
 
 class TestBlockCompletion:

@@ -380,9 +380,10 @@ class TestLrrCommand:
             assert out == out_eq
             assert "sequence 8,3 over Z_9" in out
 
-    def test_bad_sequence_is_parse_error(self, capsys):
-        code, _, _ = run(capsys, ["lrr", "--ring", "9", "--seq", "1,4,x"])
-        assert code == 2
+    @pytest.mark.parametrize("seq", ["1,4,x", "", ","], ids=["letter", "empty", "comma"])
+    def test_bad_sequence_is_parse_error(self, capsys, seq):
+        code, out, err = run(capsys, ["lrr", "--ring", "9", "--seq", seq])
+        assert code == 2 and not out and "bad sequence" in err
 
     @pytest.mark.parametrize("seq", ["1_0,4,4,7,7", "10,\u0664,4,7,7", "1_0,\u0664,4,7,7"],
                              ids=["underscore", "arabic-indic", "both"])

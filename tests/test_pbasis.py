@@ -82,7 +82,7 @@ class TestBuildPBasis:
         for basis in _represent_bases(rng):
             order = basis.order
             for v in basis.vectors:
-                assert (v._top if order is TOP else v._pot) is not None
+                assert v._cache[0] is order
                 assert v.lead(order) == v._scan(order)
                 vectors += 1
         assert vectors > 400, vectors

@@ -23,7 +23,7 @@ from pgroebner import (
     parse_poly,
     parse_vector,
 )
-from pgroebner.polyvec import BLOCK, _layout, combine
+from pgroebner.polyvec import BLOCK, _lane_top, _layout, combine
 from conftest import Z5, Z9, vec
 from polyvec_reference import DictVec, combine as dict_combine, parse_poly as chunk_parse_poly
 
@@ -262,6 +262,13 @@ class TestComponents:
                     empty += any(c.is_zero() for c in comps)
         assert empty > 100
 
+    def test_terms_is_a_new_dict_on_each_call(self):
+        w = vec(Z9, "[x^2, 3x]")
+        w.terms[Monomial(7, 2)] = 4
+        assert w.terms == {Monomial(2, 1): 1, Monomial(1, 2): 3}
+        assert w == vec(Z9, "[x^2, 3x]")
+        assert w.term_mul(1, -1) == vec(Z9, "[x, 3]")
+
 
 class TestTrustedConstruction:
     """Arithmetic builds vectors without the public checks; they must not be needed."""
@@ -334,6 +341,10 @@ class TestTrustedConstruction:
         assert vec(Z9, "[x, 1]").sub_term_mul(g, 1, -1) == vec(Z9, "[0, 7]")
         with pytest.raises(DimensionMismatch):
             g.term_mul(2, -2)
+        # a zero scalar leaves no term to fall below x^0
+        for c in (0, 9, -9):
+            assert g.term_mul(c, -5) == PolyVec.zero(Z9, 2)
+            assert g.sub_term_mul(g, c, -5) == g
 
     def test_negative_poly_exponents_match_term_mul(self):
         with pytest.raises(DimensionMismatch):
@@ -453,6 +464,32 @@ class TestPackedAgainstDictReference:
                                     assert got.lead(order) == want.lead(order)
                         differ += not ref.is_zero() and v.lm(TOP) != v.lm(POT)
         assert differ > 200
+
+    def test_lane_top_is_the_top_term_of_each_position(self):
+        rng = random.Random(176)
+        three_blocks = found = 0
+        for ring in PACKED_RINGS:
+            for q in range(1, 5):
+                for top in EDGE_TOPS:
+                    for _ in range(4):
+                        v, ref = _pair(rng, ring, q, top)
+                        if v.is_zero():
+                            continue
+                        # and one with a copy moved up past an empty block
+                        w = v.sub_term_mul(v, -1, 2 * BLOCK)
+                        rw = ref.sub_term_mul(ref, -1, 2 * BLOCK)
+                        for got, want in ((v, ref), (w, rw)):
+                            deg = max(m.alpha for m in want.terms)
+                            three_blocks += len(got._blocks) >= 3
+                            for pos in range(1, q + 1):
+                                for below in (None, 0, 1, BLOCK - 1, BLOCK, BLOCK + 1, deg,
+                                              deg + 1, rng.randrange(deg + 2)):
+                                    lane = [(c, m.alpha) for m, c in want.terms.items()
+                                            if m.pos == pos and (below is None or m.alpha < below)]
+                                    top_term = max(lane, key=lambda t: t[1], default=None)
+                                    assert _lane_top(got._lay, got._blocks, pos, below) == top_term
+                                    found += top_term is not None
+        assert three_blocks > 200 and found > 5000, (three_blocks, found)
 
     def test_terms_components_coeff_and_equality_agree(self):
         rng = random.Random(173)
