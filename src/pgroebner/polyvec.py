@@ -13,9 +13,7 @@ tuple; `PolyVec` is a vector of such polynomials packed into ints, one per
 block of BLOCK degrees, a W-bit slot per coefficient (Kronecker
 substitution), so that an update f - c*x^gamma*g is a shift, a multiply, an
 add and a slotwise reduction per block.  Both are immutable values: every
-operation returns a new object, so they are safe to share freely.  A
-PolyVec caches only its leading data, under the last order asked for, as
-one (order, lead) pair replaced whole; its `terms` dict is built per call.
+operation returns a new object, so they are safe to share freely.
 
 Text grammar (used by the CLI and fixtures)::
 
@@ -29,6 +27,12 @@ Text grammar (used by the CLI and fixtures)::
 Whitespace is insignificant; '-' and unicode minus are accepted on input
 coefficients.  Output is canonical: descending degrees, '+'-joined terms,
 coefficients as canonical residues, never a sign.
+
+Text I/O works on the packed slots and builds no `Poly` per component.  One
+term reader, `_terms`, serves `parse_poly` and `parse_vector`; the latter
+adds each term to its slot, reduces each slot once and ORs it into its block
+(`_blocks_of`).  `format_vector`, `component` and `terms` read a position's
+terms from one lane walk, `_lane_terms`, 16 degrees at a time.
 """
 
 from __future__ import annotations
@@ -36,8 +40,7 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from itertools import zip_longest
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, MixedRings, ParseError, ZeroVector
 from .ring import Zpr
@@ -105,8 +108,7 @@ class Poly:
         cs = [c % m for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.ring = ring
-        self.coeffs = tuple(cs)
+        self.ring, self.coeffs = ring, tuple(cs)
 
     @classmethod
     def _trusted(cls, ring: Zpr, coeffs: tuple[int, ...]) -> "Poly":
@@ -116,8 +118,7 @@ class Poly:
         if any, is nonzero; the public constructor reduces and strips.
         """
         f = _new_object(cls)
-        f.ring = ring
-        f.coeffs = coeffs
+        f.ring, f.coeffs = ring, coeffs
         return f
 
     @classmethod
@@ -192,11 +193,7 @@ class Poly:
         return Poly(self.ring, (0,) * gamma + self.coeffs[max(0, -gamma) :])
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.ring == other.ring
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, Poly) and self.ring == other.ring and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.ring, self.coeffs))
@@ -312,20 +309,6 @@ class _Layout:
             x &= ~(lane << s * self.W)
         return out
 
-    def pack(self, rows: Sequence[Sequence[int]]) -> int:
-        """The block whose degree a has the residues rows[a], position 1 first."""
-        fmt = f"0{self.W}b"
-        return int("".join([format(c, fmt) for row in reversed(rows) for c in row]), 2)
-
-    def bits(self, blocks: Sequence[int]) -> str:
-        """The blocks in binary, top degree first, whole degrees of dw bits each."""
-        if not blocks:
-            return ""
-        top = blocks[-1]
-        width = -(-top.bit_length() // self.dw) * self.dw
-        return "".join([format(top, "b").zfill(width)]
-                       + [format(x, "b").zfill(self.bw) for x in reversed(blocks[:-1])])
-
 
 # one layout per (ring, q): vectors share it, and `==` compares it by identity
 _layout = functools.cache(_Layout)
@@ -334,6 +317,25 @@ _layout = functools.cache(_Layout)
 def _strip(blocks: list[int]) -> tuple[int, ...]:
     while blocks and not blocks[-1]:
         blocks.pop()
+    return tuple(blocks)
+
+
+def _blocks_of(lay: _Layout, slots: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The blocks whose slot k holds c mod m for each (k, c) of slots, the k distinct.
+
+    A residue is ORed into the int of its 16 degrees, and that into its block.
+    """
+    per, m, W = 16 * lay.q, lay.m, lay.W
+    chunks: dict[int, int] = {}
+    for k, c in slots:
+        c %= m
+        if c:
+            h, j = divmod(k, per)
+            chunks[h] = chunks.get(h, 0) | c << j * W
+    blocks = [0] * (max(chunks, default=-1) // (BLOCK // 16) + 1)
+    for h, x in chunks.items():
+        b, i = divmod(h, BLOCK // 16)
+        blocks[b] |= x << i * 16 * lay.dw
     return tuple(blocks)
 
 
@@ -384,6 +386,27 @@ def _lane_top(lay: _Layout, blocks: tuple[int, ...], pos: int,
     return x >> j * lay.W & lay.smask, i * BLOCK + j // lay.q
 
 
+def _lane_terms(lay: _Layout, blocks: tuple[int, ...], pos: int) -> Iterator[tuple[int, int]]:
+    """(alpha, c) of the nonzero terms c*x^alpha*e_pos of the blocks, by descending degree.
+
+    Each block's lane is masked once, as in `_lane_top`, and read 16 degrees
+    at a time, so every shift and mask of a slot is on a small int.
+    """
+    shift, dw, smask = (lay.q - pos) * lay.W, lay.dw, lay.smask
+    sixteen = lay.lane(1 << 16 * dw - 1)
+    for i in range(len(blocks) - 1, -1, -1):
+        x = blocks[i] >> shift
+        x &= lay.lane(x)
+        for d in range((x.bit_length() - 1) // dw & -16, -1, -16):  # none when x is 0
+            y = x >> d * dw & sixteen
+            if y:
+                base = i * BLOCK + d
+                for j in range((y.bit_length() - 1) // dw, -1, -1):
+                    c = y >> j * dw & smask
+                    if c:
+                        yield base + j, c
+
+
 def _lead(lay: _Layout, blocks: tuple[int, ...], order: MonomialOrder) -> tuple[int, Monomial, int]:
     """(lc, lm, ord(lc)) of nonzero blocks: the one scan of `PolyVec.lead`."""
     q, W = lay.q, lay.W
@@ -411,14 +434,11 @@ class PolyVec:
     tuple `_blocks` has no trailing zero block (the zero vector is ()) and
     every slot holds a canonical residue, so equal vectors have equal tuples.
 
-    Why blocks and not one int per vector: an update f - c*x^gamma*g then
-    costs what the blocks of g cost, not what the degree of f does.  `gb` on
-    [x^D+1, x], [x, 1], [x^(D-1), x^5+3] with D = 10^5 takes some 10^5
-    reduction steps by short reducers.  On a 2-vCPU VM under Python 3.11 it
-    took 1.8-2.1 s over Z_256 and 3.9-4.5 s over Z_65521 with blocks (2.4-2.7
-    and 1.9-2.1 s with monomial-keyed dicts); with one int per vector, each
-    step rewriting all of f, it took 14 s over Z_256 and had not finished
-    after 150 s over Z_65521.
+    Blocks, not one int per vector, so that an update f - c*x^gamma*g costs
+    what the blocks of g cost, not what the degree of f does: `gb` on
+    [x^D+1, x], [x, 1], [x^(D-1), x^5+3], D = 10^5 (some 10^5 steps by short
+    reducers) took 1.8-2.1 s over Z_256 with blocks and 14 s with one int
+    per vector (2-vCPU VM, Python 3.11).
 
     Immutability is load-bearing: the leading data (lc, lm, ord(lc)) is
     computed on request and cached as one (order, lead) pair, rescanned
@@ -433,24 +453,17 @@ class PolyVec:
     def __init__(self, ring: Zpr, q: int, terms: dict[Monomial, int] | None = None):
         if q < 1:
             raise DimensionMismatch(f"ambient dimension must be >= 1, got {q}")
-        rows: dict[int, list[list[int]]] = {}  # block -> its degrees' residues
+        slots = []
         for mono, c in (terms or {}).items():
             if not (1 <= mono.pos <= q) or mono.alpha < 0:
                 raise DimensionMismatch(f"monomial {mono} outside ambient space q={q}")
-            c = ring.reduce(c)
-            if c:
-                b, a = divmod(mono.alpha, BLOCK)
-                block_rows = rows.setdefault(b, [])
-                block_rows += [[0] * q for _ in range(a + 1 - len(block_rows))]
-                block_rows[a][mono.pos - 1] = c
-        self.ring = ring
-        self.q = q
-        self._lay = _layout(ring, q)
-        blocks = [0] * (max(rows, default=-1) + 1)
-        for b, block_rows in rows.items():
-            blocks[b] = self._lay.pack(block_rows)
-        self._blocks = tuple(blocks)
-        self._cache = (None, None)
+            slots.append((mono.alpha * q + q - mono.pos, c))
+        self._fill(ring, q, slots)
+
+    def _fill(self, ring: Zpr, q: int, slots: Iterable[tuple[int, int]]) -> None:
+        """Make this the vector whose slot k holds c mod m for each (k, c), the k distinct."""
+        self.ring, self.q, self._lay = ring, q, _layout(ring, q)
+        self._blocks, self._cache = _blocks_of(self._lay, slots), (None, None)
 
     def _like(self, blocks: tuple[int, ...], order: MonomialOrder | None = None,
               lead: tuple[int, Monomial, int] | None = None) -> "PolyVec":
@@ -474,37 +487,29 @@ class PolyVec:
         for poly in components:
             if poly.ring != ring:
                 raise MixedRings(f"{ring} vs {poly.ring}")
-        zero = cls(ring, len(components))
-        rows = [*zip_longest(*[f.coeffs for f in components], fillvalue=0)]
-        chunks = [rows[b:b + BLOCK] for b in range(0, len(rows), BLOCK)]
-        return zero._like(_strip([zero._lay.pack(c) if any(map(any, c)) else 0 for c in chunks]))
+        return cls(ring, len(components), {Monomial(a, i): c for i, f in enumerate(components, 1)
+                                           for a, c in enumerate(f.coeffs) if c})
 
     def component(self, pos: int) -> Poly:
+        """Component pos, its coefficients read from the lane walk (`_lane_terms`)."""
         if not (1 <= pos <= self.q):
             raise DimensionMismatch(f"position {pos} outside [1, {self.q}]")
-        return self._component(self._lay.bits(self._blocks), pos)
+        terms = _lane_terms(self._lay, self._blocks, pos)
+        alpha, c = next(terms, (-1, 0))
+        coeffs = [0] * alpha + [c] if c else []
+        for alpha, c in terms:
+            coeffs[alpha] = c
+        return Poly._trusted(self.ring, tuple(coeffs))
 
     def components(self) -> list[Poly]:
-        """The q components, each row built from its nonzero terms by ascending degree."""
-        bits = self._lay.bits(self._blocks)
-        return [self._component(bits, pos) for pos in range(1, self.q + 1)]
-
-    def _component(self, bits: str, pos: int) -> Poly:
-        """Component pos read from the binary text of the blocks (`_Layout.bits`)."""
-        W = self._lay.W
-        coeffs = [int(bits[i:i + W], 2) for i in range((pos - 1) * W, len(bits), self._lay.dw)]
-        top = next((k for k, c in enumerate(coeffs) if c), len(coeffs))  # zeros above deg
-        return Poly._trusted(self.ring, tuple(coeffs[:top - 1:-1] if top else coeffs[::-1]))
+        return [self.component(pos) for pos in range(1, self.q + 1)]
 
     @property
     def terms(self) -> dict[Monomial, int]:
         """The nonzero terms as monomial -> residue, in a new dict built from the blocks."""
-        return {
-            Monomial(alpha, pos): c
-            for pos, f in enumerate(self.components(), 1)
-            for alpha, c in enumerate(f.coeffs)
-            if c
-        }
+        lay, blocks = self._lay, self._blocks
+        return {Monomial(alpha, pos): c for pos in range(1, self.q + 1)
+                for alpha, c in _lane_terms(lay, blocks, pos)}
 
     # -- basic structure -------------------------------------------------------
 
@@ -516,8 +521,7 @@ class PolyVec:
         b, a = divmod(alpha, BLOCK)
         if not (1 <= pos <= self.q and 0 <= b < len(self._blocks)):
             return 0
-        lay = self._lay
-        return self._blocks[b] >> (a * self.q + self.q - pos) * lay.W & lay.smask
+        return self._blocks[b] >> (a * self.q + self.q - pos) * self._lay.W & self._lay.smask
 
     def _check(self, other: "PolyVec") -> None:
         if self.ring != other.ring:
@@ -546,10 +550,9 @@ class PolyVec:
     def term_mul(self, c: int, gamma: int) -> "PolyVec":
         """Multiply by the scalar term c * x^gamma."""
         c %= self._lay.m
-        if c and gamma < 0:  # left to the public checks: a term may fall below x^0
-            return PolyVec(
-                self.ring, self.q, {m.shifted(gamma): c * v for m, v in self.terms.items()}
-            )
+        if c and gamma < 0:  # left to the public checks: a nonzero term may fall below x^0
+            return PolyVec(self.ring, self.q, {mono.shifted(gamma): c * v for mono, v in
+                                               self.terms.items() if c * v % self._lay.m})
         return self._like(_axpy(self._lay, (), self._blocks, c, gamma) if c else ())
 
     def sub_term_mul(self, other: "PolyVec", c: int, gamma: int) -> "PolyVec":
@@ -587,8 +590,7 @@ class PolyVec:
         return self.lead(order)[1]
 
     def lt(self, order: MonomialOrder) -> tuple[int, Monomial]:
-        c, m, _ = self.lead(order)
-        return c, m
+        return self.lead(order)[:2]
 
     def lc(self, order: MonomialOrder) -> int:
         return self.lead(order)[0]
@@ -606,11 +608,8 @@ class PolyVec:
     # -- value semantics -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PolyVec)
-            and self._lay is other._lay
-            and self._blocks == other._blocks
-        )
+        return (isinstance(other, PolyVec) and self._lay is other._lay
+                and self._blocks == other._blocks)
 
     def __hash__(self) -> int:
         return hash((self.ring, self.q, self._blocks))
@@ -659,18 +658,13 @@ _TERM_RE = re.compile(_TERM)
 _POLY_RE = re.compile(rf"{_TERM}(?:(?=[+-]){_TERM})*")
 
 
-def _clean(text: str) -> str:
-    return re.sub(r"\s+", "", text).replace("−", "-")
-
-
-def parse_poly(ring: Zpr, text: str) -> Poly:
-    """Parse the POLY grammar; accepts '-' separated terms and signed coefficients."""
-    s = _clean(text)
+def _terms(text: str) -> Iterator[tuple[int, int]]:
+    """(alpha, c) of each term of the POLY text, c signed, in the order written."""
+    s = "".join(text.split()).replace("−", "-")
     if not s:
         raise ParseError("empty polynomial")
     if not _POLY_RE.fullmatch(s):
         raise ParseError(f"bad term in {text!r}")
-    coeffs: dict[int, int] = {}
     for sign, c, x, k in _TERM_RE.findall(s):
         try:
             c, alpha = int(c or 1), (int(k or 1) if x else 0)
@@ -678,51 +672,57 @@ def parse_poly(ring: Zpr, text: str) -> Poly:
             raise ParseError(f"number too long in {s[:20]!r}...") from exc
         if alpha > MAX_EXPONENT:
             raise ParseError(f"exponent above {MAX_EXPONENT} in {s[:20]!r}")
-        coeffs[alpha] = coeffs.get(alpha, 0) + (-c if sign == "-" else c)
-    top = max(coeffs, default=-1)
-    return Poly(ring, (coeffs.get(k, 0) for k in range(top + 1)))
+        yield alpha, -c if sign == "-" else c
+
+
+def parse_poly(ring: Zpr, text: str) -> Poly:
+    """Parse the POLY grammar; accepts '-' separated terms and signed coefficients."""
+    coeffs: list[int] = []
+    for alpha, c in _terms(text):
+        coeffs += [0] * (alpha + 1 - len(coeffs))  # none when alpha is already in
+        coeffs[alpha] += c
+    return Poly(ring, coeffs)
+
+
+def _format_terms(terms: Iterable[tuple[int, int]]) -> str:
+    """The '+'-joined text of the nonzero (alpha, c) terms, by descending degree; "0" for none."""
+    return "+".join([str(c) if not a else ("x" if a == 1 else f"x^{a}") if c == 1
+                     else f"{c}x" if a == 1 else f"{c}x^{a}" for a, c in terms if c]) or "0"
 
 
 def format_poly(poly: Poly) -> str:
-    if poly.is_zero():
-        return "0"
-    pieces = []
-    coeffs = poly.coeffs
-    for alpha in range(poly.degree, -1, -1):
-        c = coeffs[alpha]
-        if not c:
-            continue
-        if alpha == 0:
-            pieces.append(str(c))
-        else:
-            x = "x" if alpha == 1 else f"x^{alpha}"
-            pieces.append(x if c == 1 else f"{c}{x}")
-    return "+".join(pieces)
+    return _format_terms(zip(range(len(poly.coeffs) - 1, -1, -1), reversed(poly.coeffs)))
 
 
 def parse_vector(ring: Zpr, text: str) -> PolyVec:
-    """Parse the VECTOR grammar '[POLY, ..., POLY]'."""
+    """Parse the VECTOR grammar '[POLY, ..., POLY]', each term added to its slot."""
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
         raise ParseError(f"vector must be bracketed: {text!r}")
     entries = s[1:-1].split(",")
-    if not entries or not any(e.strip() for e in entries):
+    if not any(e.strip() for e in entries):
         raise ParseError(f"empty vector: {text!r}")
-    return PolyVec.from_components(ring, [parse_poly(ring, e) for e in entries])
+    q = len(entries)
+    slots: dict[int, int] = {}
+    for low, entry in zip(range(q - 1, -1, -1), entries):  # position 1 is the highest slot
+        for alpha, c in _terms(entry):
+            k = alpha * q + low
+            slots[k] = slots.get(k, 0) + c
+    v = _new_object(PolyVec)
+    v._fill(ring, q, slots.items())
+    return v
 
 
 def format_vector(v: PolyVec) -> str:
-    return "[" + ", ".join(format_poly(c) for c in v.components()) + "]"
+    lay, blocks = v._lay, v._blocks
+    return "[" + ", ".join([_format_terms(_lane_terms(lay, blocks, pos))
+                            for pos in range(1, v.q + 1)]) + "]"
 
 
 def parse_matrix(ring: Zpr, text: str) -> list[PolyVec]:
     """Parse one VECTOR per line; blank lines and '#' comment lines are skipped."""
-    rows: list[PolyVec] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(parse_vector(ring, line))
+    rows = [parse_vector(ring, line) for line in map(str.strip, text.splitlines())
+            if line and not line.startswith("#")]
     if not rows:
         raise ParseError("no vectors found")
     qs = {r.q for r in rows}

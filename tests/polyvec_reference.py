@@ -1,18 +1,23 @@
 """The Monomial-keyed dict arithmetic that `PolyVec` used before it was packed,
-and the chunk-by-chunk polynomial parser that the one-regex grammar replaced.
+the chunk-by-chunk polynomial parser that the one-regex grammar replaced, and
+the text I/O that the slot reader and the lane walk replaced.
 
 Kept as references: `tests/test_polyvec.py` runs both implementations on
-seeded inputs and requires the same terms, leading data and values, and
-the same accepted strings with the same coefficients.  A `DictVec` maps
-monomials to nonzero canonical residues.
+seeded inputs and requires the same terms, leading data and values, the
+same accepted strings with the same coefficients, and the same blocks,
+components, text and ParseError messages.  A `DictVec` maps monomials to
+nonzero canonical residues.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import zip_longest
 
-from pgroebner import Monomial, MonomialOrder, ParseError, Poly, PolyVec, ZeroVector
-from pgroebner.polyvec import MAX_EXPONENT
+from pgroebner import DimensionMismatch, MixedRings, Monomial, MonomialOrder, ParseError, Poly
+from pgroebner import PolyVec, ZeroVector
+from pgroebner.polyvec import BLOCK, MAX_EXPONENT, _strip
+from pgroebner.polyvec import _POLY_RE as GRAMMAR_POLY_RE, _TERM_RE as GRAMMAR_TERM_RE
 
 _TERM_RE = re.compile(r"^(?:([0-9]+)\*?)?(x(?:\^([0-9]+))?)?$")
 
@@ -129,3 +134,104 @@ def combine(coeffs, vectors) -> DictVec:
                 terms[key] = terms.get(key, 0) + c * x
     return DictVec(ring, q, terms)
 
+
+
+# -- text I/O through per-component `Poly` objects and a binary string -------------
+
+
+def pack(lay, rows) -> int:
+    """The block whose degree a has the residues rows[a], position 1 first."""
+    fmt = f"0{lay.W}b"
+    return int("".join([format(c, fmt) for row in reversed(rows) for c in row]), 2)
+
+
+def bits(lay, blocks) -> str:
+    """The blocks in binary, top degree first, whole degrees of dw bits each."""
+    if not blocks:
+        return ""
+    top = blocks[-1]
+    width = -(-top.bit_length() // lay.dw) * lay.dw
+    return "".join([format(top, "b").zfill(width)]
+                   + [format(x, "b").zfill(lay.bw) for x in reversed(blocks[:-1])])
+
+
+def _component(v: PolyVec, text: str, pos: int) -> Poly:
+    """Component pos read from the binary text of the blocks (`bits`)."""
+    W = v._lay.W
+    coeffs = [int(text[i:i + W], 2) for i in range((pos - 1) * W, len(text), v._lay.dw)]
+    top = next((k for k, c in enumerate(coeffs) if c), len(coeffs))  # zeros above deg
+    return Poly._trusted(v.ring, tuple(coeffs[:top - 1:-1] if top else coeffs[::-1]))
+
+
+def component(v: PolyVec, pos: int) -> Poly:
+    if not (1 <= pos <= v.q):
+        raise DimensionMismatch(f"position {pos} outside [1, {v.q}]")
+    return _component(v, bits(v._lay, v._blocks), pos)
+
+
+def components(v: PolyVec) -> list[Poly]:
+    text = bits(v._lay, v._blocks)
+    return [_component(v, text, pos) for pos in range(1, v.q + 1)]
+
+
+def from_components(ring, comps: list[Poly]) -> PolyVec:
+    """The vector of the components, packed a block of rows at a time."""
+    for poly in comps:
+        if poly.ring != ring:
+            raise MixedRings(f"{ring} vs {poly.ring}")
+    zero = PolyVec(ring, len(comps))
+    rows = [*zip_longest(*[f.coeffs for f in comps], fillvalue=0)]
+    chunks = [rows[b:b + BLOCK] for b in range(0, len(rows), BLOCK)]
+    return zero._like(_strip([pack(zero._lay, c) if any(map(any, c)) else 0 for c in chunks]))
+
+
+def dict_parse_poly(ring, text: str) -> Poly:
+    """The one-regex parser, adding each term into a degree -> coefficient dict."""
+    s = re.sub(r"\s+", "", text).replace("\u2212", "-")
+    if not s:
+        raise ParseError("empty polynomial")
+    if not GRAMMAR_POLY_RE.fullmatch(s):
+        raise ParseError(f"bad term in {text!r}")
+    coeffs: dict[int, int] = {}
+    for sign, c, x, k in GRAMMAR_TERM_RE.findall(s):
+        try:
+            c, alpha = int(c or 1), (int(k or 1) if x else 0)
+        except ValueError as exc:  # more digits than int() accepts
+            raise ParseError(f"number too long in {s[:20]!r}...") from exc
+        if alpha > MAX_EXPONENT:
+            raise ParseError(f"exponent above {MAX_EXPONENT} in {s[:20]!r}")
+        coeffs[alpha] = coeffs.get(alpha, 0) + (-c if sign == "-" else c)
+    top = max(coeffs, default=-1)
+    return Poly(ring, (coeffs.get(k, 0) for k in range(top + 1)))
+
+
+def format_poly(poly: Poly) -> str:
+    if poly.is_zero():
+        return "0"
+    pieces = []
+    coeffs = poly.coeffs
+    for alpha in range(poly.degree, -1, -1):
+        c = coeffs[alpha]
+        if not c:
+            continue
+        if alpha == 0:
+            pieces.append(str(c))
+        else:
+            x = "x" if alpha == 1 else f"x^{alpha}"
+            pieces.append(x if c == 1 else f"{c}{x}")
+    return "+".join(pieces)
+
+
+def parse_vector(ring, text: str) -> PolyVec:
+    """A `Poly` per entry, then `from_components`."""
+    s = text.strip()
+    if not (s.startswith("[") and s.endswith("]")):
+        raise ParseError(f"vector must be bracketed: {text!r}")
+    entries = s[1:-1].split(",")
+    if not entries or not any(e.strip() for e in entries):
+        raise ParseError(f"empty vector: {text!r}")
+    return from_components(ring, [dict_parse_poly(ring, e) for e in entries])
+
+
+def format_vector(v: PolyVec) -> str:
+    return "[" + ", ".join(format_poly(c) for c in components(v)) + "]"

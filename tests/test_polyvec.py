@@ -23,8 +23,9 @@ from pgroebner import (
     parse_poly,
     parse_vector,
 )
-from pgroebner.polyvec import BLOCK, _lane_top, _layout, combine
-from conftest import Z5, Z9, vec
+from pgroebner.polyvec import BLOCK, MAX_EXPONENT, _lane_top, _layout, combine
+from conftest import Z5, Z8, Z9, vec
+import polyvec_reference as reference
 from polyvec_reference import DictVec, combine as dict_combine, parse_poly as chunk_parse_poly
 
 monomials = st.builds(
@@ -346,6 +347,14 @@ class TestTrustedConstruction:
             assert g.term_mul(c, -5) == PolyVec.zero(Z9, 2)
             assert g.sub_term_mul(g, c, -5) == g
 
+    def test_zero_divisor_scalar_drops_the_terms_it_kills_below_x0(self):
+        g = vec(Z9, "[x^2, 3x]")
+        assert g.term_mul(3, -2) == g.scale(3).term_mul(1, -2) == vec(Z9, "[3, 0]")
+        assert g.term_mul(6, -2) == vec(Z9, "[6, 0]")
+        assert vec(Z9, "[x^2, 0]").sub_term_mul(g, 3, -2) == vec(Z9, "[x^2+6, 0]")
+        with pytest.raises(DimensionMismatch):
+            g.term_mul(3, -3)  # 3x^2 still falls below x^0
+
     def test_negative_poly_exponents_match_term_mul(self):
         with pytest.raises(DimensionMismatch):
             Poly.monomial(Z9, 1, -2)
@@ -586,6 +595,27 @@ class TestSparseInputsStayLinear:
         _agree(h, DictVec.of(f).sub_term_mul(DictVec.of(g), 3, gamma))
 
 
+def _grammar_strings():
+    """20000 seeded strings, half of them built from term pieces and half free
+    characters, each with the non-ASCII digit, the underscore, the minus sign
+    U+2212, '*' and spaces the grammar must refuse or skip."""
+    rng = random.Random(1801)
+    signs = ["+"] * 12 + ["-", "\u2212", " - ", "++", "+-"]
+    coeffs = ["", "", "3", "12", "0", "007", "5 4"] * 4 + ["\u0663", "1_0", "9" * 5000]
+    stars = [""] * 8 + ["*", "**"]
+    xs = ["", "x", "x^2", "x^10", " x^ 2", "x^99"] * 4 + [
+        "x^", "x^\u0663", "x^1_0", "xx", "x^100001"]
+    chars = "0123456789xx^^++--**  \u2212\u0663_y"
+    for t in range(20000):
+        if t % 2:
+            yield "".join(rng.choice(chars) for _ in range(rng.randrange(9)))
+        else:
+            yield "".join(
+                rng.choice(signs) + rng.choice(coeffs) + rng.choice(stars) + rng.choice(xs)
+                for _ in range(rng.randint(1, 4))
+            ) + rng.choice(["", "", "", " ", " ", "+"])
+
+
 class TestTextGrammar:
     def test_signed_input_reduces(self):
         assert parse_poly(Z5, "x^2-3x-1") == parse_poly(Z5, "x^2+2x+4")
@@ -608,7 +638,7 @@ class TestTextGrammar:
         assert len(rows) == 2
 
     def test_parse_errors(self):
-        for bad in ("", "x +", "[x", "[]", "3y", "x^", "++x"):
+        for bad in ("", "x +", "[x", "[]", "[ , ]", "[,]", "[1, ]", "3y", "x^", "++x"):
             with pytest.raises(ParseError):
                 if bad.startswith("["):
                     parse_vector(Z9, bad)
@@ -620,25 +650,8 @@ class TestTextGrammar:
             parse_matrix(Z9, "# only a comment\n")
 
     def test_grammar_matches_chunk_parser(self):
-        # seeded strings, half of them built from term pieces and half free
-        # characters, each with the non-ASCII digit, the underscore, the minus
-        # sign U+2212, '*' and spaces the grammar must refuse or skip
-        rng = random.Random(1801)
-        signs = ["+"] * 12 + ["-", "\u2212", " - ", "++", "+-"]
-        coeffs = ["", "", "3", "12", "0", "007", "5 4"] * 4 + ["\u0663", "1_0", "9" * 5000]
-        stars = [""] * 8 + ["*", "**"]
-        xs = ["", "x", "x^2", "x^10", " x^ 2", "x^99"] * 4 + [
-            "x^", "x^\u0663", "x^1_0", "xx", "x^100001"]
-        chars = "0123456789xx^^++--**  \u2212\u0663_y"
         verdicts = {True: 0, False: 0}
-        for t in range(20000):
-            if t % 2:
-                text = "".join(rng.choice(chars) for _ in range(rng.randrange(9)))
-            else:
-                text = "".join(
-                    rng.choice(signs) + rng.choice(coeffs) + rng.choice(stars) + rng.choice(xs)
-                    for _ in range(rng.randint(1, 4))
-                ) + rng.choice(["", "", "", " ", " ", "+"])
+        for text in _grammar_strings():
             try:
                 ref = chunk_parse_poly(Z9, text)
             except ParseError:
@@ -655,3 +668,122 @@ class TestTextGrammar:
     def test_poly_round_trip(self, coeffs):
         poly = Poly(Z9, coeffs)
         assert parse_poly(Z9, format_poly(poly)) == poly
+
+
+# text I/O rings: p = 2 with r = 1, 3, 8 and odd p with slots of 13, 52 and 97 bits
+TEXT_RINGS = (Zpr(2, 1), Z8, Z9, Zpr(2, 8), Zpr(65521, 1), Zpr(3, 20))
+TEXT_TOPS = (0, 1, 15, 16, 17, 255, 256, 257)
+
+
+def _components(rng, ring, q, top):
+    """q seeded components of degree <= top, each zero, dense or a few terms;
+    most vectors have a term at degree top."""
+    comps = []
+    for _ in range(q):
+        coeffs = [0] * (top + 1)
+        kind = rng.randrange(3)
+        for a in range(top + 1) if kind == 1 else [rng.randrange(top + 1) for _ in range(kind)]:
+            coeffs[a] = _residue(rng, ring) if rng.randrange(5) else 0
+        comps.append(coeffs)
+    if rng.randrange(4):
+        comps[rng.randrange(q)][top] = rng.randrange(1, ring.modulus)
+    return [Poly(ring, c) for c in comps]
+
+
+def _noisy_text(rng, ring, comps):
+    """A non-canonical VECTOR text of comps: each component's terms shuffled,
+    unreduced, negated or split in two, with zero terms, cancelling pairs,
+    spaces, '*', 'x^1' and the minus sign U+2212."""
+    m = ring.modulus
+    entries = []
+    for f in comps:
+        terms = []
+        for a, c in enumerate(f.coeffs):
+            if c:
+                d = rng.randrange(m)
+                terms += rng.choice([[(a, c)], [(a, c + m * rng.randrange(1, 4))], [(a, c - m)],
+                                     [(a, d), (a, c - d)]])
+        top = min(len(f.coeffs) + 1, MAX_EXPONENT + 1)  # degrees for the extra terms
+        terms += [(rng.randrange(top), 0) for _ in range(rng.randrange(2))]
+        if rng.randrange(3) == 0:
+            a, c = rng.randrange(top), rng.randrange(1, 3 * m)
+            terms += [(a, c), (a, -c)]
+        rng.shuffle(terms)
+        pieces = []
+        for a, c in terms or [(0, 0)]:
+            sign = rng.choice(["-", "\u2212", " - "]) if c < 0 else rng.choice(["+", " + "])
+            digits = "" if abs(c) == 1 and a and rng.randrange(2) else str(abs(c))
+            x = "" if a == 0 else rng.choice(["x", "x^1"]) if a == 1 else f"x^{a}"
+            star = "*" if digits and x and rng.randrange(4) == 0 else ""
+            pieces.append(sign + digits + star + x)
+        text = "".join(pieces)
+        entries.append(text[1:] if text[0] == "+" and rng.randrange(2) else text)
+    return "[" + ", ".join(entries) + "]"
+
+
+class TestTextIOAgainstReference:
+    """`parse_vector`, `format_vector`, `component(s)`, `terms` and `from_components`
+    against the `Poly`-per-component and binary-string path they replaced
+    (`polyvec_reference`): the same blocks, components, text and ParseErrors."""
+
+    def _check(self, rng, ring, q, comps):
+        v = reference.from_components(ring, comps)
+        assert PolyVec.from_components(ring, comps)._blocks == v._blocks
+        want = reference.components(v)
+        assert v.components() == want
+        assert [v.component(pos) for pos in range(1, q + 1)] == want
+        assert v.terms == {Monomial(a, pos): c for pos, f in enumerate(want, 1)
+                           for a, c in enumerate(f.coeffs) if c}
+        text = format_vector(v)
+        assert text == reference.format_vector(v)
+        assert [format_poly(f) for f in want] == [reference.format_poly(f) for f in want]
+        for t in (text, _noisy_text(rng, ring, comps)):
+            got = parse_vector(ring, t)
+            assert got == v and got._blocks == reference.parse_vector(ring, t)._blocks
+            assert got._cache == (None, None)
+        return v
+
+    def test_seeded_vectors(self):
+        rng = random.Random(2501)
+        zero_comps = blocks = 0
+        for ring in TEXT_RINGS:
+            for q in range(1, 7):
+                self._check(rng, ring, q, [Poly.zero(ring)] * q)
+                for top in TEXT_TOPS:
+                    for _ in range(3):
+                        comps = _components(rng, ring, q, top)
+                        v = self._check(rng, ring, q, comps)
+                        zero_comps += any(f.is_zero() for f in comps)
+                        blocks += len(v._blocks) == 2
+        assert zero_comps > 200 and blocks > 100, (zero_comps, blocks)
+
+    def test_sparse_terms_at_max_exponent(self):
+        rng = random.Random(2502)
+        for ring in TEXT_RINGS:
+            for q in (1, 3):
+                if q * _layout(ring, q).W > 100:  # the reference reads a string of 10^5 degrees
+                    continue
+                comps = [[0] * (MAX_EXPONENT + 1) for _ in range(q)]
+                for a in (MAX_EXPONENT, MAX_EXPONENT - 1, BLOCK * rng.randrange(390), 16, 0):
+                    comps[rng.randrange(q)][a] = rng.randrange(1, ring.modulus)
+                v = self._check(rng, ring, q, [Poly(ring, c) for c in comps])
+                assert len(v._blocks) == MAX_EXPONENT // BLOCK + 1
+
+    def test_grammar_strings_as_vector_entries(self):
+        def outcome(parse, text):
+            """The value and its blocks, or the ParseError message."""
+            try:
+                got = parse(Z9, text)
+            except ParseError as exc:
+                return str(exc)
+            return got, getattr(got, "_blocks", None)
+
+        rng = random.Random(2503)
+        verdicts = {True: 0, False: 0}
+        for text in _grammar_strings():
+            assert outcome(parse_poly, text) == outcome(reference.dict_parse_poly, text), text[:40]
+            line = rng.choice(["[{}]", "[x, {}]", "[{}, 3]", "[{},{}]"]).format(text, text)
+            got = outcome(parse_vector, line)
+            assert got == outcome(reference.parse_vector, line), line[:40]
+            verdicts[not isinstance(got, str)] += 1
+        assert min(verdicts.values()) > 3000, verdicts
