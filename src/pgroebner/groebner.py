@@ -302,7 +302,7 @@ class GroebnerBasis:
         object.__setattr__(
             self, "leads", tuple(lead_data(g, self.order) for g in self.elements)
         )
-        self.validate()
+        self._check_leads()
 
     @classmethod
     def from_elements(
@@ -343,7 +343,12 @@ class GroebnerBasis:
                 raise ValidationFailed("mixed rings or dimensions in basis")
 
     def validate(self) -> None:
-        """Raise ValidationFailed unless every structural invariant holds.
+        """Raise ValidationFailed unless every structural invariant holds."""
+        self._check_elements()
+        self._check_leads()
+
+    def _check_leads(self) -> None:
+        """The checks of `validate` on the leads, run once at construction.
 
         One walk checks each lc, the staircase against the previous element
         at the same position, and the descent from the previous element.
@@ -355,7 +360,6 @@ class GroebnerBasis:
         most q*r.  A staircase break with no reducible pair is a pair out
         of lm order, which the descent check then reports.
         """
-        self._check_elements()
         ring, order = self.ring, self.order
         leads = self.leads
         prev: dict[int, int] = {}  # position -> index of its last element so far

@@ -12,9 +12,10 @@ The solver forms the interpolation module spanned by [1, -S(x)] and
 [0, x^(n+1)] with S(x) = S_0 x^n + ... + S_{n-1} x, computes its minimal
 TOP Groebner p-basis (v_1, ..., v_{2r}), and picks the unique v with
 leading position 1 and full order r; its first component, made monic, is a
-shortest recurrence.  `buchberger` completes the generators for r > 1; over
-a field `_field_basis` builds the basis term by term, and as every tail is
-then reduced and a reduced basis is unique, both give the same basis.
+shortest recurrence.  `buchberger` completes the generators for r > 1.
+Over a field `_field_rows` builds two rows term by term, with lc 1, and
+`_field_basis` tail-reduces them as packed ints, without `buchberger`'s
+generic finish; as a reduced basis is unique, both give the same basis.
 Writing v_i = [d_i, *], every shortest recurrence is obtained exactly once as
 
     q * d + sum over later i of q_i * d_i,
@@ -35,7 +36,7 @@ from struct import Struct
 from .errors import EnumerationTooLarge, IterationLimitExceeded, MixedRings, PivotNotUnique, ZeroVector
 from .groebner import DEFAULT_MAX_STEPS, GroebnerBasis, buchberger
 from .pbasis import PBasis, build_p_basis
-from .polyvec import TOP, Poly, PolyVec, _layout
+from .polyvec import TOP, Monomial, Poly, PolyVec, _layout
 from .ring import Zpr
 
 DEFAULT_ENUM_CAP = 10**6
@@ -51,11 +52,11 @@ class SequenceInput:
     def __post_init__(self) -> None:
         if len(self.values) < 1:
             raise ValueError("sequence must have length >= 1")
-        if not all(isinstance(v, int) for v in self.values):
+        m = self.ring.modulus
+        values = tuple([v % m for v in self.values if isinstance(v, int)])
+        if len(values) < len(self.values):
             raise TypeError("sequence values must be ints")
-        object.__setattr__(
-            self, "values", tuple(self.ring.reduce(v) for v in self.values)
-        )
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -104,17 +105,18 @@ def build_module(S: SequenceInput) -> tuple[PolyVec, PolyVec]:
     return zero._like(lay.blocks(s1)), zero._like(lay.blocks(1 << (S.n + 1) * lay.dw))
 
 
-def _field_basis(S: SequenceInput) -> GroebnerBasis:
-    """The minimal TOP basis of the interpolation module over a field, term by term.
+def _field_rows(S: SequenceInput) -> tuple[int, int]:
+    """Two rows a > b spanning the interpolation module over a field, term by term.
 
     [f, h] is in the module when f*S(x) + h == 0 mod x^(n+1).  For k = 0..n
     a basis mod x^k, from e1 and e2, becomes one mod x^(k+1) (Fitzpatrick,
     *On the key equation*, IEEE-IT 1995): of the elements whose discrepancy,
     the coefficient of x^k in f*S + h, is nonzero, the one of least TOP lead
     is multiplied by x, after the other has it subtracted, scaled to cancel
-    its own.  The leads keep positions 1 and 2, so the basis stays minimal.
+    its own.  The leads keep positions 1 and 2, so the rows are a minimal
+    basis, but not yet a reduced one (see `_field_basis`).
 
-    An element is one int in PolyVec slots, which are in TOP order, so the
+    A row is one int in PolyVec slots, which are in TOP order, so the
     larger int has the larger lead.  Its residual f*S + h over x^k is one
     int of a W-bit slot per degree, the discrepancy lowest.  Subtraction is
     an XOR for p = 2 and a `_Layout.fold` for odd p.
@@ -139,8 +141,40 @@ def _field_basis(S: SequenceInput) -> GroebnerBasis:
             a, rb = a << lay.dw, rb >> W
         else:
             ra, rb = ra >> W, rb >> W
-    zero = PolyVec.zero(S.ring, 2)
-    return GroebnerBasis.from_elements([zero._like(lay.blocks(a)), zero._like(lay.blocks(b))], TOP)
+    return a, b
+
+
+def _field_basis(S: SequenceInput) -> GroebnerBasis:
+    """The reduced minimal TOP basis of the interpolation module over a field.
+
+    The rows a > b of `_field_rows` are finished as ints.  Their lcs are 1
+    already: e1 and e2 start with lc 1, and a row only ever gets the other
+    row added, below its lead, or its lead shifted.  Every term of a at the
+    position of b's lead, of degree at least deg b, is then cancelled by a
+    shifted multiple of b, top down: an XOR for p = 2, and for odd p a fold
+    of only the slots the shifted b reaches.  Each step only reaches lower terms of that lane, and a's lead, at the
+    other position, never moves.  No term of b is covered by a's lead, so
+    this is the reduced basis `GroebnerBasis.from_elements` makes of the
+    rows, and as a reduced basis is unique, the one `buchberger` finishes.
+    """
+    p, lay = S.ring.p, _layout(S.ring, 2)
+    W, fold = lay.W, lay.fold
+    a, b = _field_rows(S)
+    low = (b.bit_length() - 1) // W * W  # b's lead slot
+    span = (1 << low + W) - 1  # b's slots
+    # the lane of b's position in a, from b's lead degree up
+    while x := (y := a >> low) & lay.lane(y):
+        k = (x.bit_length() - 1) // W * W  # the top term's slot, k // dw degrees above b's lead
+        if p == 2:
+            a ^= b << k
+        else:  # slots never carry, so only the slots of b << k are folded
+            window = a >> k & span
+            a += fold(window + (p - (x >> k)) * b) - window << k
+    zero, rows = PolyVec.zero(S.ring, 2), []
+    for v in (a, b):
+        j = (v.bit_length() - 1) // W
+        rows.append(zero._like(lay.blocks(v), TOP, (1, Monomial(j // 2, 2 - j % 2), 1)))
+    return GroebnerBasis(TOP, tuple(rows))
 
 
 def shortest_lrr(S: SequenceInput, max_steps: int = DEFAULT_MAX_STEPS) -> LrrSolution:

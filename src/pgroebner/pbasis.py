@@ -93,7 +93,8 @@ def build_p_basis(G: GroebnerBasis) -> PBasis:
 
     The p-generator-sequence property is checked at the chain ends only.
     Within a chain p * v_i is the next vector by construction: both are
-    p^(e+1) * g_j, built by `scale`, its leading data read off g_j's.  G's
+    p^(e+1) * g_j, built by `scale`, its leading data read off g_j's; a
+    chain head (e = 0) is g_j itself, whose lead G already holds.  G's
     validation makes each lc p^(r - ord) and the ords of a position
     strictly fall, so the chains of a position hold disjoint p-power
     layers and no two vectors share a leading position and order.  p times
@@ -107,7 +108,8 @@ def build_p_basis(G: GroebnerBasis) -> PBasis:
     provenance = tuple((j, e) for j, b in enumerate(betas) for e in range(b))
     leads = G.leads  # p^e * g_j keeps lm(g_j); its lc p^(r - ord) becomes p^(r - ord + e)
     vectors = tuple(G.elements[j].scale(ring.p**e, order, (
-        ring.p ** (ring.r - leads[j].ord + e), leads[j].lm, leads[j].ord - e)) for j, e in provenance)
+        ring.p ** (ring.r - leads[j].ord + e), leads[j].lm, leads[j].ord - e)) if e else G.elements[j]
+        for j, e in provenance)
     end = -1
     for b in betas:
         end += b

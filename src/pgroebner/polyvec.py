@@ -225,10 +225,10 @@ class _Layout:
       K = 2^(W-1) - m sets the top bit of exactly the slots >= m, and m is
       subtracted there.
 
-    The masks are made on first use, for 1, 2, 4, ... slots (degrees, up to
-    one block, for the lane): a short int folds at the cost of its own
-    length, each mask is under twice as long as the longest int folded,
-    and ints longer than a block fold too.
+    The masks are made on first use, for 1, 2, 4, ... slots (degrees, for
+    the lane): a short int folds at the cost of its own length, each mask
+    is under twice as long as the longest int folded, and ints longer than
+    a block fold and lane too.
     """
 
     __slots__ = ("q", "m", "W", "dw", "bw", "smask", "fold", "ord", "_p", "_k", "_mu",
@@ -243,7 +243,7 @@ class _Layout:
         self.bw = BLOCK * self.dw  # bits per block
         self.smask = (1 << W) - 1
         self._folds: list = [None] * 64  # by bit length of a slot count: any int in memory
-        self._lanes: list = [None] * ((BLOCK - 1).bit_length() + 1)
+        self._lanes: list = [None] * 64  # by bit length of a degree count
         if p == 2:
             self.fold = self._fold2
             self.ord = lambda c: r + 1 - (c & -c).bit_length()
@@ -289,12 +289,13 @@ class _Layout:
         e = ((x.bit_length() - 1) // self.dw).bit_length()
         lane = self._lanes[e]
         if lane is None:
-            degrees = min(1 << e, BLOCK)
-            lane = self._lanes[e] = int(format(self.smask, f"0{self.dw}b") * degrees, 2)
+            lane = self._lanes[e] = int(format(self.smask, f"0{self.dw}b") * (1 << e), 2)
         return lane
 
     def blocks(self, x: int) -> tuple[int, ...]:
         """The blocks of a vector packed into the one int x."""
+        if not x >> self.bw:  # one block or none, as for most vectors
+            return (x,) if x else ()
         return tuple(x >> i & (1 << self.bw) - 1 for i in range(0, x.bit_length(), self.bw))
 
     def positions(self, blocks: Sequence[int]) -> set[int]:

@@ -15,6 +15,7 @@ digit expansion a = d_0 + d_1*p + ... + d_{r-1}*p^(r-1) with digits in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import MixedRings, NotAUnit
@@ -23,6 +24,7 @@ _MAX_PRIME = 1 << 16
 _MAX_MODULUS = 1 << 63
 
 
+@functools.cache  # `Zpr` asks only for 2 <= n <= _MAX_PRIME: at most 2^16 entries
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -45,7 +47,7 @@ class Zpr:
     def __post_init__(self) -> None:
         if not isinstance(self.p, int) or not isinstance(self.r, int):
             raise TypeError("p and r must be ints")
-        if self.p > _MAX_PRIME or not _is_prime(self.p):
+        if not 2 <= self.p <= _MAX_PRIME or not _is_prime(self.p):
             raise ValueError(f"p must be a prime <= 2^16, got {self.p}")
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")

@@ -1106,6 +1106,24 @@ class TestStaircaseValidation:
         assert set(kinds) == {"accept", "lc", "reducible", "descent"}
         assert min(kinds.values()) >= 100
 
+    def test_construction_checks_the_elements_once_and_validate_checks_all(self, monkeypatch):
+        calls = []
+        check = GroebnerBasis._check_elements
+        monkeypatch.setattr(GroebnerBasis, "_check_elements", lambda G: calls.append(G) or check(G))
+        G = buchberger(z9a_generators(), POT)
+        assert len(calls) == 1
+        G.validate()
+        assert calls == [G, G]
+        # validate alone still runs every check: on the elements, then on the leads
+        elements, leads = G.elements, G.leads
+        object.__setattr__(G, "elements", (elements[0], elements[1].scale(0)))
+        with pytest.raises(ValidationFailed, match="zero element in basis"):
+            G.validate()
+        object.__setattr__(G, "elements", elements)
+        object.__setattr__(G, "leads", leads[::-1])
+        with pytest.raises(ValidationFailed, match="not strictly descending"):
+            G.validate()
+
     def test_equal_lms_are_reducible_in_either_order(self):
         # sorting keeps equal lms in input order; either way one element is reducible
         x, x3 = vec(Z9, "[x]"), vec(Z9, "[3x]")

@@ -11,7 +11,9 @@ from pgroebner import (
     EnumerationTooLarge,
     IterationLimitExceeded,
     MixedRings,
+    Monomial,
     Poly,
+    PolyVec,
     SequenceInput,
     ZeroVector,
     Zpr,
@@ -25,7 +27,9 @@ from pgroebner import (
     shortest_lrr,
 )
 from pgroebner.cli import main
-from pgroebner.lrr import _add_params, _field_basis, _solution_count
+from pgroebner.groebner import GroebnerBasis
+from pgroebner.lrr import _add_params, _field_basis, _field_rows, _solution_count
+from pgroebner.polyvec import _layout
 from conftest import SEQ_Z5, SEQ_Z9A, SEQ_Z9B, Z4, Z5, Z8, Z9
 
 # every slot width of the packed enumeration, with both edges 2m == 2^W
@@ -165,8 +169,9 @@ class TestSequenceInput:
     @pytest.mark.parametrize("ring", [Zpr(3, 1), Zpr(3, 2)], ids=["field", "chain-ring"])
     @pytest.mark.parametrize("bad", [2.5, 2.0, "2", None], ids=["float", "integral-float", "str", "none"])
     def test_non_integer_values_raise_type_error(self, ring, bad):
-        with pytest.raises(TypeError):
-            SequenceInput(ring, (1, bad))
+        for values in ((1, bad), (bad, 1, 2)):
+            with pytest.raises(TypeError, match="^sequence values must be ints$"):
+                SequenceInput(ring, values)
 
     @pytest.mark.parametrize("ring", [Zpr(3, 1), Zpr(3, 2)], ids=["field", "chain-ring"])
     def test_integer_values_are_reduced(self, ring):
@@ -535,6 +540,76 @@ def _field_sequences():
             out.append(SequenceInput(ring, (0,) * zeros + tuple(tail)))
         out.append(SequenceInput(ring, (0,) * 600))
     return out
+
+
+def _raw_rows(S):
+    """The rows a > b of `_field_rows` as vectors."""
+    lay, zero = _layout(S.ring, 2), PolyVec.zero(S.ring, 2)
+    return [zero._like(lay.blocks(x)) for x in _field_rows(S)]
+
+
+def _generic_finish(S):
+    """`GroebnerBasis.from_elements` of the raw rows: normalize, sort and cancel unit tails."""
+    return GroebnerBasis.from_elements(_raw_rows(S), TOP)
+
+
+def _tail_cancellations(S):
+    """The number of steps that cancel, top down, the terms of the raw a covered by lm(b)."""
+    a, b = _raw_rows(S)
+    _, (deg, pos), _ = b.lead(TOP)
+    steps = 0
+    while covered := [alpha for alpha, at in a.terms if at == pos and alpha >= deg]:
+        top = max(covered)
+        a = a.sub_term_mul(b, a.coeff(Monomial(top, pos)), top - deg)
+        steps += 1
+    return steps
+
+
+class TestFieldFinish:
+    """The rows are finished as ints; `GroebnerBasis.from_elements` of the raw rows stays the reference."""
+
+    @staticmethod
+    def _assert_finish(S):
+        got = _field_basis(S)
+        assert got.elements == _generic_finish(S).elements, (S.ring, S.values)
+        for g in got:
+            assert g._cache == (TOP, g._scan(TOP))
+
+    @pytest.mark.parametrize("p, top_n", [(2, 10), (3, 6), (5, 4)])
+    def test_equals_the_generic_finish_exhaustively(self, p, top_n):
+        ring = Zpr(p, 1)
+        for n in range(1, top_n + 1):
+            for values in itertools.product(range(p), repeat=n):
+                self._assert_finish(SequenceInput(ring, values))
+
+    def test_raw_rows_have_lc_one_and_distinct_positions(self):
+        # nothing is left to normalize: a row only gets the other, smaller one added or is shifted
+        rng = random.Random(26)
+        for ring in (Zpr(7, 1), Zpr(65521, 1)):
+            for n in (*range(1, 40), 100, 257):
+                S = SequenceInput(ring, tuple(rng.randrange(ring.p) for _ in range(n)))
+                a, b = _raw_rows(S)
+                assert a.lc(TOP) == b.lc(TOP) == 1
+                assert {a.lpos(TOP), b.lpos(TOP)} == {1, 2}
+                assert TOP.compare(a.lm(TOP), b.lm(TOP)) > 0
+                self._assert_finish(S)
+
+    def test_equals_the_generic_finish_on_seeded_sequences(self):
+        sequences = _field_sequences()
+        for S in sequences:
+            self._assert_finish(S)
+        steps = [_tail_cancellations(S) for S in sequences]
+        assert max(steps) >= 2 and steps.count(1) > 10
+        # a row spans three blocks of 256 degrees, and its tail needs hundreds of steps
+        assert max(len(g._blocks) for S in sequences for g in _field_basis(S)) == 3
+        assert max(steps) > 256
+
+    @pytest.mark.parametrize("p, values, steps", [
+        (2, (1, 1, 1), 2), (7, (1, 1, 1), 2), (65521, (1, 1, 1), 2), (7, (4,) * 7, 6), (65521, (4,) * 7, 6)])
+    def test_several_tail_cancellations(self, p, values, steps):
+        S = SequenceInput(Zpr(p, 1), values)
+        assert _tail_cancellations(S) == steps
+        self._assert_finish(S)
 
 
 class TestFieldBasis:

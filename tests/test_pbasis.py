@@ -87,6 +87,30 @@ class TestBuildPBasis:
                 vectors += 1
         assert vectors > 400, vectors
 
+    def test_chain_heads_are_the_basis_elements(self):
+        # seeded matrices as the modules workload draws them: q = 2-4, 2-4 rows, degrees <= 3
+        rng = random.Random(26)
+        counts = [0, 0]
+        for ring in (Zpr(7, 1), Zpr(2, 3), Zpr(2, 4), Zpr(5, 2), Zpr(3, 3)):
+            for q in (2, 3, 4):
+                for k in (2, 3, 4):
+                    rows = []
+                    while len(rows) < k:
+                        comps = [Poly(ring, [rng.randrange(ring.modulus) for _ in range(rng.randint(0, 4))])
+                                 for _ in range(q)]
+                        if any(comps):
+                            rows.append(PolyVec.from_components(ring, comps))
+                    for order in (TOP, POT):
+                        G = buchberger(rows, order)
+                        basis = build_p_basis(G)
+                        # every field as when each vector was built by `scale`, heads included
+                        assert basis == _reference_build_p_basis(G)
+                        for v, (j, e) in zip(basis.vectors, basis.provenance):
+                            assert (v is G.elements[j]) == (e == 0)
+                            assert v.lead(order) == v._scan(order)
+                            counts[e > 0] += 1
+        assert counts[0] > 150 and counts[1] > 50, counts  # chain heads and scaled vectors
+
     def test_position_order_pairs_distinct(self):
         for basis in (build_p_basis(z9a_top_basis()), build_p_basis(z9a_pot_basis())):
             seen = set()

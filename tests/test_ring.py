@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pgroebner import MixedRings, NotAUnit, RingElem, Zpr, order, p_adic_expand, unit_inverse
+from pgroebner.ring import _MAX_PRIME, _is_prime
 
 # every ring with modulus <= 81, for exhaustive checks
 SMALL_RINGS = [
@@ -41,6 +42,27 @@ def test_construction_rejects_bad_parameters():
         Zpr(2, 64)  # modulus exceeds the supported width
     with pytest.raises(ValueError):
         Zpr((1 << 16) + 1, 1)  # beyond the supported prime range
+
+
+def test_is_prime_agrees_with_a_sieve():
+    sieve = [False, False] + [True] * (_MAX_PRIME - 1)
+    for d in range(2, 257):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(range(d * d, _MAX_PRIME + 1, d))
+    assert [_is_prime(n) for n in range(_MAX_PRIME + 1)] == sieve
+    assert [_is_prime.__wrapped__(n) for n in range(_MAX_PRIME + 1)] == sieve
+
+
+def test_each_prime_is_tested_once_and_only_in_range():
+    _is_prime.cache_clear()
+    Zpr(65521, 1)
+    Zpr(65521, 2)
+    info = _is_prime.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    for p in (-7, -2, 0, 1, (1 << 16) + 1, 1 << 40):
+        with pytest.raises(ValueError, match="p must be a prime"):
+            Zpr(p, 1)
+    assert _is_prime.cache_info().currsize == 1
 
 
 def test_order_examples():
