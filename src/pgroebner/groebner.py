@@ -36,10 +36,11 @@ All computations are deterministic: pairs are processed in ascending
 counting as (lm(g_k), k, k), reducers are chosen largest leading
 monomial first with index tie-breaks, quotients use the canonical digit
 representative, and S-vectors are oriented newer-minus-older.  Finished
-bases are read by position: a minimal basis is a staircase there, degree
-and ord rising together, so with each lc normalized to p^(r-ord) only the
-top element can have lc 1; the tail terms it covers are cancelled (unique
-quotients, so a canonical step; full tail reduction is not performed).
+bases are read by position: a minimal basis is a staircase there, degree and
+ord rising together, so with each lc normalized to p^(r-ord) only the top
+element can have lc 1; the tail terms it covers are cancelled in one pass
+down each element (unique quotients, so a canonical step; full tail
+reduction is not performed).
 
 Reducers and pairs are read from one index, not found by scanning.  It
 files each element, as it is appended, under (position, j) for every
@@ -71,7 +72,6 @@ import itertools
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -83,7 +83,8 @@ from .errors import (
     ValidationFailed,
     ZeroVector,
 )
-from .polyvec import Monomial, MonomialOrder, Poly, PolyVec, _axpy, _Layout, _lane_top, _lead, combine
+from .polyvec import (BLOCK, TOP, Monomial, MonomialOrder, Poly, PolyVec, _axpy, _Layout, _lane_top, _lead,
+                      _top_slot, combine)
 from .ring import Zpr
 
 DEFAULT_MAX_STEPS = 10**6
@@ -227,9 +228,7 @@ def _pair_vector(lay: _Layout, pw: list[int], older: tuple, newer: tuple) -> tup
     return _axpy(lay, _axpy(lay, (), bk, pw[ok - low], lcm - ak), bi, lay.m - pw[oi - low], lcm - ai)
 
 
-def _minimalize_elements(
-    elements: list[PolyVec], order: MonomialOrder
-) -> list[PolyVec]:
+def _minimalize_elements(elements: list[PolyVec], order: MonomialOrder) -> list[PolyVec]:
     """The elements that no kept one covers, in ascending lm order.
 
     h covers g when they share a position, deg h <= deg g and ord h >= ord g.
@@ -247,39 +246,61 @@ def _minimalize_elements(
     return kept
 
 
-def _cancel_unit_tails(
-    elements: list[PolyVec], order: MonomialOrder
-) -> list[PolyVec]:
+def _cancel_unit_tails(elements: list[PolyVec], order: MonomialOrder) -> list[PolyVec]:
     """Cancel tail terms covered by unit-lc elements (unique quotients only).
 
     Elements arrive sorted descending by lm and are processed smallest lm
-    first, each cancelling its largest covered tail term until none is left.
-    A unit covering a tail term Y of g has lm <= Y < lm(g), so the units
-    processed before g, one per position, are all its reducers.  With one
-    unit of lc 1 per position the result is unique (two results would differ
-    by a unit combination, whose leading term is covered), so the order of
-    cancellation cannot matter.  A non-minimal list may hold two units at
-    one position; validation then fails on leading data, which cancellation
-    never touches.  Only the unit positions that g holds are probed.
+    first: a unit covering a tail term Y of g has lm <= Y < lm(g), so the
+    units before g, one per position, are all its reducers.  With one unit of
+    lc 1 per position the result is unique (two would differ by a unit
+    combination, whose leading term is covered), and one pass down g suffices:
+    cancelling c*x^a*e_P by the unit h_P of degree d subtracts c*x^(a-d)*h_P,
+    whose terms lie at or below x^a*e_P, as TOP and POT are compatible with
+    multiplication by x.  No covered term appears above the one removed, and
+    the lead never moves.  Under TOP, slot order, each step reads the top
+    covered slot below the last (`_top_slot`, masks of each unit's lane from
+    its degree up); under POT the unit positions g holds are visited in
+    ascending order (`_held`), each read down to its unit's degree.  Of two
+    units at one position (a non-minimal list) the first is used.
     """
-    units: dict[int, tuple[int, PolyVec]] = {}  # position -> (degree, its unit)
-    out = []
+    lay, r = elements[0]._lay, elements[0].ring.r
+    q, W, m, nb = lay.q, lay.W, lay.m, max(len(g._blocks) for g in elements)
+    # position q's slots in a block; under TOP no step passes the top degree
+    lane = lay.lane(elements[0]._blocks[-1] if order is TOP and nb == 1 else 1 << lay.bw - 1)
+    masks, full, units, out = [0] * nb, 0, {}, []  # units: position -> (degree, its unit)
     for g in reversed(elements):
-        _, lead, o = g.lead(order)
-        # the top tail term c*x^alpha of each unit's position, if the unit covers it
-        while units and (covered := [
-            (order.key(Monomial(top[1], pos)), top, *units[pos])
-            for pos in units.keys() & g._lay.positions(g._blocks)
-            if (top := _lane_top(g._lay, g._blocks, pos, lead.alpha if pos == lead.pos else None))
-            and top[1] >= units[pos][0]
-        ]):
-            _, (c, alpha), deg, h = max(covered, key=itemgetter(0))
-            # lc(h) == 1 after normalization, so the quotient is the coefficient itself
-            g = g.sub_term_mul(h, c, alpha - deg)
-        if o == g.ring.r:
-            units[lead.pos] = (lead.alpha, g)
+        _, (alpha, pos), o = lead = g.lead(order)
+        blocks, k = g._blocks, alpha * q + q - pos  # TOP: k is the last slot read, from the lead's
+        while units and order is TOP and (top := _top_slot(lay, blocks, masks, k)):
+            c, k = top
+            d, h = units[q - k % q]
+            blocks = _axpy(lay, blocks, h._blocks, m - c, k // q - d)
+        held = _held(lay, blocks, full) if units and order is not TOP else 0
+        while held:  # POT: the lowest position held, read down to its unit's degree
+            d, h = units[P := q - (held.bit_length() - 1) // W]
+            below = alpha if P == pos else None
+            while (top := _lane_top(lay, blocks, P, below)) and top[1] >= d:
+                c, below = top
+                blocks = _axpy(lay, blocks, h._blocks, m - c, below - d)
+            held = _held(lay, blocks, full) & (1 << (q - P) * W) - 1  # the positions after P
+        g = g if blocks is g._blocks else g._like(blocks, order, lead)
+        if o == r and pos not in units:
+            units[pos] = (alpha, g)
+            full |= lane << (q - pos) * W  # POT: the unit lanes at every degree
+            for i in range(alpha // BLOCK, nb):  # the lane from degree alpha up
+                masks[i] |= lane >> (low := max(alpha - i * BLOCK, 0) * lay.dw) << low + (q - pos) * W
         out.append(g)
     return out[::-1]
+
+
+def _held(lay: _Layout, blocks: tuple[int, ...], mask: int) -> int:
+    """The slots of degree 0 of positions where the blocks ANDed with mask hold a term."""
+    x, sh = 0, lay.dw
+    for b in blocks:
+        x |= b & mask
+    while x >> sh:  # fold the degrees onto degree 0
+        x, sh = x | x >> sh, 2 * sh
+    return x & (1 << lay.dw) - 1
 
 
 @dataclass(frozen=True)
@@ -305,9 +326,7 @@ class GroebnerBasis:
         self._check_leads()
 
     @classmethod
-    def from_elements(
-        cls, elements: list[PolyVec], order: MonomialOrder
-    ) -> "GroebnerBasis":
+    def from_elements(cls, elements: list[PolyVec], order: MonomialOrder) -> "GroebnerBasis":
         """Sort, normalize, canonicalize, and validate a minimal basis."""
         if not elements:
             raise ZeroVector("a Groebner basis must contain at least one element")

@@ -100,8 +100,8 @@ def build_p_basis(G: GroebnerBasis) -> PBasis:
     layers and no two vectors share a leading position and order.  p times
     a chain end must be re-expressed in digit coordinates over the later
     vectors, the expression re-evaluated for exact equality, and p times
-    the last vector must be zero; either can fail for a parsed document.
-    A failure raises ValidationFailed.
+    the last vector must be zero; for a parsed document either can fail, with
+    ValidationFailed.  Over Z_p (r = 1) p*v = 0 for any v: both are skipped.
     """
     ring, order = G.ring, G.order
     betas = order_differences(G).betas
@@ -111,22 +111,21 @@ def build_p_basis(G: GroebnerBasis) -> PBasis:
         ring.p ** (ring.r - leads[j].ord + e), leads[j].lm, leads[j].ord - e)) if e else G.elements[j]
         for j, e in provenance)
     end = -1
-    for b in betas:
+    for b in betas if ring.r > 1 else ():
         end += b
-        pv = vectors[end].scale(ring.p)
+        if (pv := vectors[end].scale(ring.p)).is_zero():
+            continue
         if end == len(vectors) - 1:
-            if not pv.is_zero():
-                raise ValidationFailed("p times the last vector is nonzero")
-        elif not pv.is_zero():
-            tail = vectors[end + 1 :]
-            try:
-                coeffs = _represent(pv, tail, order)
-            except NotInModule as exc:
-                raise ValidationFailed(
-                    f"p * vector {end} is not a digit combination of the later vectors"
-                ) from exc
-            if combine(coeffs, tail) != pv:
-                raise ValidationFailed(f"digit expression for p * vector {end} is inexact")
+            raise ValidationFailed("p times the last vector is nonzero")
+        tail = vectors[end + 1 :]
+        try:
+            coeffs = _represent(pv, tail, order)
+        except NotInModule as exc:
+            raise ValidationFailed(
+                f"p * vector {end} is not a digit combination of the later vectors"
+            ) from exc
+        if combine(coeffs, tail) != pv:
+            raise ValidationFailed(f"digit expression for p * vector {end} is inexact")
     return PBasis(order, vectors, provenance, betas)
 
 

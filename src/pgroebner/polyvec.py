@@ -8,12 +8,10 @@ ambient vector space Z_{p^r}[x]^q.  Two total orders are provided:
 * POT (position over term): compare positions first (smaller position is
   larger); on ties compare degrees.
 
-`Poly` is a scalar polynomial in Z_{p^r}[x] held as an ascending coefficient
-tuple; `PolyVec` is a vector of such polynomials packed into ints, one per
-block of BLOCK degrees, a W-bit slot per coefficient (Kronecker
-substitution), so that an update f - c*x^gamma*g is a shift, a multiply, an
-add and a slotwise reduction per block.  Both are immutable values: every
-operation returns a new object, so they are safe to share freely.
+`Poly` is a scalar polynomial in Z_{p^r}[x], an ascending coefficient tuple;
+`PolyVec` packs a vector of them into ints, a W-bit slot per coefficient
+(Kronecker substitution), so an update f - c*x^gamma*g is a shift, a multiply,
+an add and a slotwise reduction per block.  Both are immutable values.
 
 Text grammar (used by the CLI and fixtures)::
 
@@ -28,11 +26,10 @@ Whitespace is insignificant; '-' and unicode minus are accepted on input
 coefficients.  Output is canonical: descending degrees, '+'-joined terms,
 coefficients as canonical residues, never a sign.
 
-Text I/O works on the packed slots and builds no `Poly` per component.  One
-term reader, `_terms`, serves `parse_poly` and `parse_vector`; the latter
-adds each term to its slot, reduces each slot once and ORs it into its block
-(`_blocks_of`).  `format_vector`, `component` and `terms` read a position's
-terms from one lane walk, `_lane_terms`, 16 degrees at a time.
+Text I/O works on the packed slots, on ints of CHUNK slots, so it is linear
+in the vector's length whatever q is.  One term reader, `_terms`, serves
+`parse_poly` and `parse_vector` (with `_blocks_of`); one walk, `_walk`, serves
+`format_vector`, `components` and `terms` in one pass, and `component`.
 """
 
 from __future__ import annotations
@@ -46,13 +43,12 @@ from .errors import DimensionMismatch, MixedRings, ParseError, ZeroVector
 from .ring import Zpr
 
 
-# Leading monomials and trusted vectors are built on hot paths; these skip
-# the Python-level NamedTuple and PolyVec constructors.
+# Leading monomials and trusted vectors are built on hot paths without Python-level constructors.
 _new_tuple = tuple.__new__
 _new_object = object.__new__
 
-# Degrees per block of a packed PolyVec.
-BLOCK = 256
+# Degrees per block of a packed PolyVec; slots per int of text I/O (whole bytes).
+BLOCK, CHUNK = 256, 32
 
 
 class Monomial(NamedTuple):
@@ -76,7 +72,7 @@ class MonomialOrder(enum.Enum):
 
     def key(self, m: tuple[int, int]) -> tuple[int, int]:
         """Sort key of a Monomial or an (alpha, pos) pair: larger key means larger monomial."""
-        if self is MonomialOrder.TOP:
+        if self is TOP:  # a module global: no enum attribute lookup per call
             return (m[0], -m[1])
         return (-m[1], m[0])
 
@@ -112,11 +108,7 @@ class Poly:
 
     @classmethod
     def _trusted(cls, ring: Zpr, coeffs: tuple[int, ...]) -> "Poly":
-        """A polynomial that keeps coeffs itself, without copying or checking it.
-
-        coeffs must be a tuple of residues in 0..p^r-1 whose last entry,
-        if any, is nonzero; the public constructor reduces and strips.
-        """
+        """A polynomial that keeps coeffs, residues with a nonzero last entry, unchecked."""
         f = _new_object(cls)
         f.ring, f.coeffs = ring, coeffs
         return f
@@ -225,10 +217,9 @@ class _Layout:
       K = 2^(W-1) - m sets the top bit of exactly the slots >= m, and m is
       subtracted there.
 
-    The masks are made on first use, for 1, 2, 4, ... slots (degrees, for
-    the lane): a short int folds at the cost of its own length, each mask
-    is under twice as long as the longest int folded, and ints longer than
-    a block fold and lane too.
+    The masks are made on first use, for 1, 2, 4, ... slots (degrees, for the
+    lane): a short int folds at the cost of its own length, each mask is under
+    twice as long as the longest int folded, and longer ints fold and lane too.
     """
 
     __slots__ = ("q", "m", "W", "dw", "bw", "smask", "fold", "ord", "_p", "_k", "_mu",
@@ -298,18 +289,6 @@ class _Layout:
             return (x,) if x else ()
         return tuple(x >> i & (1 << self.bw) - 1 for i in range(0, x.bit_length(), self.bw))
 
-    def positions(self, blocks: Sequence[int]) -> set[int]:
-        """The positions of the nonzero slots of the blocks, one pass over their OR per position."""
-        x = 0
-        for b in blocks:
-            x |= b
-        lane, out = self.lane(x), set()
-        while x:
-            s = (x.bit_length() - 1) // self.W % self.q  # the top slot's, of position q - s
-            out.add(self.q - s)
-            x &= ~(lane << s * self.W)
-        return out
-
 
 # one layout per (ring, q): vectors share it, and `==` compares it by identity
 _layout = functools.cache(_Layout)
@@ -322,22 +301,24 @@ def _strip(blocks: list[int]) -> tuple[int, ...]:
 
 
 def _blocks_of(lay: _Layout, slots: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """The blocks whose slot k holds c mod m for each (k, c) of slots, the k distinct.
-
-    A residue is ORed into the int of its 16 degrees, and that into its block.
-    """
-    per, m, W = 16 * lay.q, lay.m, lay.W
+    """The blocks whose slot k holds c mod m for each (k, c) of slots, the k distinct:
+    each residue is ORed into its int of CHUNK slots, and a block joined from their bytes."""
+    m, W, per, size = lay.m, lay.W, BLOCK * lay.q // CHUNK, CHUNK * lay.W // 8
     chunks: dict[int, int] = {}
     for k, c in slots:
-        c %= m
-        if c:
-            h, j = divmod(k, per)
+        if c := c % m:
+            h, j = divmod(k, CHUNK)
             chunks[h] = chunks.get(h, 0) | c << j * W
-    blocks = [0] * (max(chunks, default=-1) // (BLOCK // 16) + 1)
-    for h, x in chunks.items():
-        b, i = divmod(h, BLOCK // 16)
-        blocks[b] |= x << i * 16 * lay.dw
-    return tuple(blocks)
+    if list(chunks) == [0]:  # one int, as for most vectors
+        return (chunks[0],)
+    data: dict[int, bytearray] = {}  # block -> its ints as bytes, sized by its highest
+    for h in sorted(chunks, reverse=True):
+        b, t = divmod(h, per)
+        if b not in data:
+            data[b] = bytearray(t * size + size)
+        data[b][t * size:t * size + size] = chunks[h].to_bytes(size, "little")
+    return tuple(int.from_bytes(data[b], "little") if b in data else 0
+                 for b in range(max(data, default=-1) + 1))
 
 
 def _axpy(lay: _Layout, f: tuple[int, ...], g: tuple[int, ...], c: int,
@@ -387,25 +368,34 @@ def _lane_top(lay: _Layout, blocks: tuple[int, ...], pos: int,
     return x >> j * lay.W & lay.smask, i * BLOCK + j // lay.q
 
 
-def _lane_terms(lay: _Layout, blocks: tuple[int, ...], pos: int) -> Iterator[tuple[int, int]]:
-    """(alpha, c) of the nonzero terms c*x^alpha*e_pos of the blocks, by descending degree.
+def _top_slot(lay: _Layout, blocks: tuple, masks: list, below: int) -> tuple[int, int] | None:
+    """(c, k) of the top nonzero slot k < below of the blocks ANDed with masks of whole slots."""
+    i, j = divmod(below, per := BLOCK * lay.q)
+    x = blocks[i] & masks[i] & (1 << j * lay.W) - 1
+    while not x and i:
+        i -= 1
+        x = blocks[i] & masks[i]
+    if not x:
+        return None
+    j = (x.bit_length() - 1) // lay.W
+    return x >> j * lay.W, i * per + j
 
-    Each block's lane is masked once, as in `_lane_top`, and read 16 degrees
-    at a time, so every shift and mask of a slot is on a small int.
-    """
-    shift, dw, smask = (lay.q - pos) * lay.W, lay.dw, lay.smask
-    sixteen = lay.lane(1 << 16 * dw - 1)
+
+def _walk(lay: _Layout, blocks: Sequence[int], pos: int = 0) -> Iterator[tuple[int, int]]:
+    """(k, c) of each nonzero slot k, k descending; with pos, (alpha, c) of each term
+    c*x^alpha*e_pos, read a degree at a time from its lane, shifted and masked as in
+    `_lane_top`.  A block is cut into ints of CHUNK slots (degrees) as bytes."""
+    u, shift = (lay.dw, (lay.q - pos) * lay.W) if pos else (lay.W, 0)
+    smask, per, size = lay.smask, lay.bw // u, CHUNK * u // 8
     for i in range(len(blocks) - 1, -1, -1):
-        x = blocks[i] >> shift
-        x &= lay.lane(x)
-        for d in range((x.bit_length() - 1) // dw & -16, -1, -16):  # none when x is 0
-            y = x >> d * dw & sixteen
-            if y:
-                base = i * BLOCK + d
-                for j in range((y.bit_length() - 1) // dw, -1, -1):
-                    c = y >> j * dw & smask
-                    if c:
-                        yield base + j, c
+        x = (y := blocks[i] >> shift) & lay.lane(y) if pos else blocks[i]
+        n = (x.bit_length() - 1) // (8 * size)  # the last int of CHUNK units; -1 for none
+        data = x.to_bytes(n * size + size, "little") if n > 0 else b""
+        for t in range(n, -1, -1):
+            y = int.from_bytes(data[t * size:t * size + size], "little") if n else x
+            for j in range((y.bit_length() - 1) // u, -1, -1):
+                if c := y >> j * u & smask:
+                    yield i * per + t * CHUNK + j, c
 
 
 def _lead(lay: _Layout, blocks: tuple[int, ...], order: MonomialOrder) -> tuple[int, Monomial, int]:
@@ -427,8 +417,7 @@ def _lead(lay: _Layout, blocks: tuple[int, ...], order: MonomialOrder) -> tuple[
 class PolyVec:
     """An element of Z_{p^r}[x]^q, stored as packed ints, one per block of degrees.
 
-    Block b holds the degrees b*BLOCK to b*BLOCK + BLOCK - 1; the
-    coefficient of x^alpha*e_pos sits in slot (alpha mod BLOCK)*q + (q - pos)
+    The coefficient of x^alpha*e_pos sits in slot (alpha mod BLOCK)*q + (q - pos)
     of block alpha // BLOCK, W bits per slot (see `_Layout`).  Slot order is
     TOP order, so the TOP leading term is the top slot of the last block;
     under POT each position's lane mask is tried, position 1 first.  The
@@ -437,16 +426,14 @@ class PolyVec:
 
     Blocks, not one int per vector, so that an update f - c*x^gamma*g costs
     what the blocks of g cost, not what the degree of f does: `gb` on
-    [x^D+1, x], [x, 1], [x^(D-1), x^5+3], D = 10^5 (some 10^5 steps by short
-    reducers) took 1.8-2.1 s over Z_256 with blocks and 14 s with one int
-    per vector (2-vCPU VM, Python 3.11).
+    [x^D+1, x], [x, 1], [x^(D-1), x^5+3], D = 10^5 took 1.8-2.1 s over Z_256
+    with blocks and 14 s with one int per vector (2-vCPU VM, Python 3.11).
 
     Immutability is load-bearing: the leading data (lc, lm, ord(lc)) is
-    computed on request and cached as one (order, lead) pair, rescanned
-    when another order is asked for.  The pair is replaced in one
-    assignment, so a reader on another thread never sees one order's lead
-    under the other order.  The cache is not part of the value (`__eq__`
-    and `__hash__` ignore it).  `terms` builds a new dict on each call.
+    cached on request as one (order, lead) pair, replaced in one assignment
+    when another order is asked for, so no thread sees one order's lead
+    under the other.  The cache is not part of the value (`__eq__` and
+    `__hash__` ignore it).  `terms` builds a new dict on each call.
     """
 
     __slots__ = ("ring", "q", "_lay", "_blocks", "_cache")
@@ -470,14 +457,9 @@ class PolyVec:
               lead: tuple[int, Monomial, int] | None = None) -> "PolyVec":
         """A vector of this ring and dimension over canonical blocks, unchecked; lead is cached."""
         v = _new_object(PolyVec)
-        v.ring = self.ring
-        v.q = self.q
-        v._lay = self._lay
-        v._blocks = blocks
+        v.ring, v.q, v._lay, v._blocks = self.ring, self.q, self._lay, blocks
         v._cache = (None, None) if lead is None else (order, lead)
         return v
-
-    # -- constructors ----------------------------------------------------------
 
     @classmethod
     def zero(cls, ring: Zpr, q: int) -> "PolyVec":
@@ -492,27 +474,19 @@ class PolyVec:
                                            for a, c in enumerate(f.coeffs) if c})
 
     def component(self, pos: int) -> Poly:
-        """Component pos, its coefficients read from the lane walk (`_lane_terms`)."""
+        """Component pos, read by a walk over its own lane only."""
         if not (1 <= pos <= self.q):
             raise DimensionMismatch(f"position {pos} outside [1, {self.q}]")
-        terms = _lane_terms(self._lay, self._blocks, pos)
-        alpha, c = next(terms, (-1, 0))
-        coeffs = [0] * alpha + [c] if c else []
-        for alpha, c in terms:
-            coeffs[alpha] = c
-        return Poly._trusted(self.ring, tuple(coeffs))
+        return _poly(self.ring, _walk(self._lay, self._blocks, pos))
 
     def components(self) -> list[Poly]:
-        return [self.component(pos) for pos in range(1, self.q + 1)]
+        return [_poly(self.ring, row) for row in _rows(self)]
 
     @property
     def terms(self) -> dict[Monomial, int]:
         """The nonzero terms as monomial -> residue, in a new dict built from the blocks."""
-        lay, blocks = self._lay, self._blocks
-        return {Monomial(alpha, pos): c for pos in range(1, self.q + 1)
-                for alpha, c in _lane_terms(lay, blocks, pos)}
-
-    # -- basic structure -------------------------------------------------------
+        q = self.q
+        return {Monomial(k // q, q - k % q): c for k, c in _walk(self._lay, self._blocks)}
 
     def is_zero(self) -> bool:
         return not self._blocks
@@ -529,8 +503,6 @@ class PolyVec:
             raise MixedRings(f"{self.ring} vs {other.ring}")
         if self.q != other.q:
             raise DimensionMismatch(f"q={self.q} vs q={other.q}")
-
-    # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other: "PolyVec") -> "PolyVec":
         return self.sub_term_mul(other, -1, 0)
@@ -571,8 +543,6 @@ class PolyVec:
         """Multiply by the scalar polynomial a."""
         return combine([a], [self])
 
-    # -- leading data under an order ---------------------------------------------
-
     def lead(self, order: MonomialOrder) -> tuple[int, Monomial, int]:
         """(lc, lm, ord(lc)), cached under the last order asked; raises ZeroVector on zero."""
         cached, lead = self._cache
@@ -606,8 +576,6 @@ class PolyVec:
         """Order of the leading coefficient."""
         return self.lead(order)[2]
 
-    # -- value semantics -----------------------------------------------------------
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PolyVec) and self._lay is other._lay
                 and self._blocks == other._blocks)
@@ -623,6 +591,23 @@ class PolyVec:
 
     def __repr__(self) -> str:
         return f"PolyVec({self.ring!r}, {format_vector(self)!r})"
+
+
+def _rows(v: PolyVec) -> list[list[tuple[int, int]]]:
+    """Each position's nonzero terms (alpha, c) by descending degree, position 1 first."""
+    q, rows = v.q, [[] for _ in range(v.q)]
+    for k, c in _walk(v._lay, v._blocks):
+        rows[k % q].append((k // q, c))
+    return rows[::-1]
+
+
+def _poly(ring: Zpr, terms: Iterable[tuple[int, int]]) -> Poly:
+    """The polynomial of the nonzero terms (alpha, c), by descending degree."""
+    coeffs: list[int] = []
+    for alpha, c in terms:
+        coeffs = coeffs or [0] * (alpha + 1)
+        coeffs[alpha] = c
+    return Poly._trusted(ring, tuple(coeffs))
 
 
 def combine(coeffs: Sequence[Poly], vectors: Sequence[PolyVec]) -> PolyVec:
@@ -646,9 +631,8 @@ def combine(coeffs: Sequence[Poly], vectors: Sequence[PolyVec]) -> PolyVec:
 
 # -- text grammar ----------------------------------------------------------------------
 
-# A Poly stores x^N as N+1 coefficients, and `components` rebuilds that many per
-# position; a PolyVec packs x^N into N // BLOCK + 1 block ints, all but one 0.
-# Larger exponents are rejected.
+# A Poly stores x^N as N+1 coefficients, and `components` rebuilds that many per position;
+# a PolyVec packs x^N into N // BLOCK + 1 block ints, all but one 0.  Larger ones are rejected.
 MAX_EXPONENT = 100_000
 
 # [0-9], not \d: \d and int() also take other scripts' digits, and int() underscores.
@@ -715,9 +699,7 @@ def parse_vector(ring: Zpr, text: str) -> PolyVec:
 
 
 def format_vector(v: PolyVec) -> str:
-    lay, blocks = v._lay, v._blocks
-    return "[" + ", ".join([_format_terms(_lane_terms(lay, blocks, pos))
-                            for pos in range(1, v.q + 1)]) + "]"
+    return "[" + ", ".join(map(_format_terms, _rows(v))) + "]"
 
 
 def parse_matrix(ring: Zpr, text: str) -> list[PolyVec]:

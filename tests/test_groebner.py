@@ -34,6 +34,7 @@ from pgroebner import (
     reduce_step,
     shortest_lrr,
 )
+from pgroebner.polyvec import BLOCK
 from pgroebner.groebner import (
     _cancel_unit_tails,
     _minimalize_elements,
@@ -576,21 +577,68 @@ class TestFinishByPosition:
                         cancelled += tails != norm
         assert cancelled > 40, cancelled
 
-    def test_finish_probes_grow_linearly_in_q(self, monkeypatch):
+    @staticmethod
+    def _staircase_reads(monkeypatch, order, q):
         # Z_4 staircase: x^2*e_k, plus e_(k+1) at odd k, plus 2x*e_k where 3
-        # divides k.  Probing every unit position for every element took
-        # 1,124,250 probes at q = 1500.
-        q, probes = 1500, []
-        gens = []
+        # divides k.  Every read of the finish is counted: the masked slot
+        # reads of TOP, the folds and lane reads of POT.
+        reads, gens = [], []
         for k in range(1, q + 1):
             gens.append(PolyVec(Z4, q, {Monomial(2, k): 1, **({Monomial(0, k + 1): 1} if k % 2 and k < q else {})}))
             if k % 3 == 0:
                 gens.append(PolyVec(Z4, q, {Monomial(1, k): 2}))
-        lane_top = groebner._lane_top
-        monkeypatch.setattr(groebner, "_lane_top", lambda *a: (probes.append(1), lane_top(*a))[1])
-        G = buchberger(gens, TOP)
-        assert len(G) == q + q // 2
-        assert len(probes) <= q, len(probes)
+        for name in ("_top_slot", "_lane_top", "_held"):
+            read = getattr(groebner, name)
+            monkeypatch.setattr(groebner, name, lambda *a, read=read: (reads.append(1), read(*a))[1])
+        assert len(buchberger(gens, order)) == q + q // 2
+        return len(reads)
+
+    def test_finish_probes_grow_linearly_in_q(self, monkeypatch):
+        # probing every unit position for every element took 1,124,250 probes at q = 1500
+        q = 1500
+        reads = self._staircase_reads(monkeypatch, TOP, q)
+        assert reads <= q, reads
+
+    def test_pot_finish_reads_grow_linearly_in_q(self, monkeypatch):
+        # up to three reads per element: a fold, the unit position it holds, a fold again
+        q = 600
+        reads = self._staircase_reads(monkeypatch, POT, q)
+        assert reads <= 3 * q, reads
+
+    def test_multi_block_finish_equals_the_reference(self):
+        # elements lifted by x^s, s up to 2 blocks, with tails below x^s, then
+        # minimalized: units and tails in several blocks, and q up to 16
+        rng = random.Random(67)
+        cancelled = spans = 0
+        for ring in self.RINGS:
+            for q in (1, 2, 5, 16):
+                for order in (TOP, POT):
+                    for _ in range(4):
+                        lifted = []
+                        for g in _finish_inputs(rng, ring, q, rng.randrange(6, 24)):
+                            s = rng.choice((0, BLOCK - 2, BLOCK + 3, 2 * BLOCK + 5))
+                            tail = {Monomial(rng.randrange(s), rng.randint(1, q)): rng.randrange(ring.modulus)
+                                    for _ in range(rng.randrange(8) if s else 0)}
+                            lifted.append(g.term_mul(1, s) + PolyVec(ring, q, tail))
+                        norm = [normalize_lc(g, order)
+                                for g in _reference_minimalize([g for g in lifted if g], order)]
+                        tails = _reference_cancel_unit_tails(norm, order)
+                        assert _cancel_unit_tails(norm, order) == tails
+                        cancelled += tails != norm
+                        spans += any(len(g._blocks) > 1 for g in tails)
+        assert cancelled > 80 and spans > 120, (cancelled, spans)
+
+    def test_pot_cancellations_reach_past_the_input_degrees(self):
+        # under POT a unit's terms at later positions may lie above its own degree: cancelling
+        # x^a*e_2 adds x^(a+d2)*e_3, above every input term, in the top block or past it
+        Z2 = Zpr(2, 1)
+        for d3, d2, a in ((4, 3, 5), (300, 299, 300)):
+            g = PolyVec(Z2, 3, {Monomial(0, 1): 1, Monomial(a, 2): 1})
+            h2 = PolyVec(Z2, 3, {Monomial(0, 2): 1, Monomial(d2, 3): 1})
+            h3 = PolyVec(Z2, 3, {Monomial(d3, 3): 1})
+            got = _cancel_unit_tails([g, h2, h3], POT)
+            assert got == _reference_cancel_unit_tails([g, h2, h3], POT)
+            assert got[0] == PolyVec(Z2, 3, {Monomial(0, 1): 1})
 
     def test_non_minimal_lists_keep_their_leading_data(self):
         rng = random.Random(64)

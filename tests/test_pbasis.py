@@ -74,6 +74,22 @@ class TestBuildPBasis:
         basis = build_p_basis(G)
         assert list(basis.vectors) == list(G.elements)
 
+    def test_field_bases_skip_the_chain_end_checks(self, monkeypatch):
+        # over Z_p, p times any vector is zero: no chain end is scaled to be checked
+        rng = random.Random(27)
+        bases = [buchberger(list(build_module(SequenceInput(ring, tuple(
+            rng.randrange(ring.p) for _ in range(n))))), TOP)
+            for ring in (Z5, Zpr(7, 1), Zpr(65521, 1)) for n in (1, 6, 17)]
+        bases += [buchberger([_random_vector(rng, Zpr(7, 1), q) for _ in range(3)], order)
+                  for q in (2, 3, 4) for order in (TOP, POT)]
+        scaled, scale = [], PolyVec.scale
+        monkeypatch.setattr(PolyVec, "scale", lambda v, *a: (scaled.append(a), scale(v, *a))[1])
+        for G in bases:
+            scaled.clear()
+            basis = build_p_basis(G)
+            assert scaled == []
+            assert basis == _reference_build_p_basis(G)
+
     def test_leads_are_cached_as_built_and_equal_a_fresh_scan(self):
         # p^e * g_j gets lm(g_j), lc p^(r - ord + e) and ord ord - e as it is
         # built, so `_represent` and the lrr pivot search scan no vector again

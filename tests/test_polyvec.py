@@ -23,7 +23,7 @@ from pgroebner import (
     parse_poly,
     parse_vector,
 )
-from pgroebner.polyvec import BLOCK, MAX_EXPONENT, _lane_top, _layout, combine
+from pgroebner.polyvec import BLOCK, CHUNK, MAX_EXPONENT, _lane_top, _layout, _walk, combine
 from conftest import Z5, Z8, Z9, vec
 import polyvec_reference as reference
 from polyvec_reference import DictVec, combine as dict_combine, parse_poly as chunk_parse_poly
@@ -562,16 +562,19 @@ class TestPackedAgainstDictReference:
                 assert lay.fold(x) == sum(s % m << j * lay.W for j, s in enumerate(slots))
 
 
-    def test_positions_are_those_of_the_terms(self):
+    def test_walk_gives_each_slot_its_position(self):
         rng = random.Random(177)
         for ring in PACKED_RINGS:
             for q in (1, 2, 5, 13):
                 lay = _layout(ring, q)
                 for _ in range(20):
                     top = rng.choice((3, BLOCK, 3 * BLOCK))
-                    v = PolyVec(ring, q, {Monomial(rng.randrange(top), rng.randint(1, q)):
-                                          rng.randrange(ring.modulus) for _ in range(rng.randrange(6))})
-                    assert lay.positions(v._blocks) == {m.pos for m in v.terms}
+                    ref = DictVec(ring, q, {Monomial(rng.randrange(top), rng.randint(1, q)):
+                                            rng.randrange(ring.modulus) for _ in range(rng.randrange(6))})
+                    v = ref.packed()
+                    assert {q - k % q for k, _ in _walk(lay, v._blocks)} == {m.pos for m in ref.terms}
+                    assert list(_walk(lay, v._blocks)) == sorted(
+                        ((m.alpha * q + q - m.pos, c) for m, c in ref.terms.items()), reverse=True)
 
 
 class TestSparseInputsStayLinear:
@@ -756,6 +759,20 @@ class TestTextIOAgainstReference:
                         zero_comps += any(f.is_zero() for f in comps)
                         blocks += len(v._blocks) == 2
         assert zero_comps > 200 and blocks > 100, (zero_comps, blocks)
+
+    def test_wide_vectors(self):
+        # q up to 64: degrees and blocks cut across the ints of CHUNK slots the walks read
+        rng = random.Random(2504)
+        zero_comps = blocks = 0
+        for ring in TEXT_RINGS:
+            for q in (7, CHUNK - 1, CHUNK + 1, 64):
+                self._check(rng, ring, q, [Poly.zero(ring)] * q)
+                for top in (0, 3, BLOCK + 1):
+                    comps = _components(rng, ring, q, top)
+                    v = self._check(rng, ring, q, comps)
+                    zero_comps += any(f.is_zero() for f in comps)
+                    blocks += len(v._blocks) >= 2
+        assert zero_comps > 50 and blocks == 24, (zero_comps, blocks)
 
     def test_sparse_terms_at_max_exponent(self):
         rng = random.Random(2502)
