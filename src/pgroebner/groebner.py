@@ -260,14 +260,15 @@ def _cancel_unit_tails(elements: list[PolyVec], order: MonomialOrder) -> list[Po
     the lead never moves.  Under TOP, slot order, each step reads the top
     covered slot below the last (`_top_slot`, masks of each unit's lane from
     its degree up); under POT the unit positions g holds are visited in
-    ascending order (`_held`), each read down to its unit's degree.  Of two
+    ascending order (`_held`), each read by `_lane_top` down to its unit's
+    degree, and folded again only while unit positions lie after it.  Of two
     units at one position (a non-minimal list) the first is used.
     """
     lay, r = elements[0]._lay, elements[0].ring.r
     q, W, m, nb = lay.q, lay.W, lay.m, max(len(g._blocks) for g in elements)
     # position q's slots in a block; under TOP no step passes the top degree
     lane = lay.lane(elements[0]._blocks[-1] if order is TOP and nb == 1 else 1 << lay.bw - 1)
-    masks, full, units, out = [0] * nb, 0, {}, []  # units: position -> (degree, its unit)
+    masks, full, units, out = [0] * nb if order is TOP else [], 0, {}, []  # units: P -> (degree, unit)
     for g in reversed(elements):
         _, (alpha, pos), o = lead = g.lead(order)
         blocks, k = g._blocks, alpha * q + q - pos  # TOP: k is the last slot read, from the lead's
@@ -278,16 +279,16 @@ def _cancel_unit_tails(elements: list[PolyVec], order: MonomialOrder) -> list[Po
         held = _held(lay, blocks, full) if units and order is not TOP else 0
         while held:  # POT: the lowest position held, read down to its unit's degree
             d, h = units[P := q - (held.bit_length() - 1) // W]
-            below = alpha if P == pos else None
-            while (top := _lane_top(lay, blocks, P, below)) and top[1] >= d:
+            below = alpha if P == pos else len(blocks) * BLOCK
+            while below > d and (top := _lane_top(lay, blocks, P, below)) and top[1] >= d:
                 c, below = top
                 blocks = _axpy(lay, blocks, h._blocks, m - c, below - d)
-            held = _held(lay, blocks, full) & (1 << (q - P) * W) - 1  # the positions after P
+            held = (after := full & (1 << (q - P) * W) - 1) and _held(lay, blocks, full) & after
         g = g if blocks is g._blocks else g._like(blocks, order, lead)
         if o == r and pos not in units:
             units[pos] = (alpha, g)
             full |= lane << (q - pos) * W  # POT: the unit lanes at every degree
-            for i in range(alpha // BLOCK, nb):  # the lane from degree alpha up
+            for i in range(alpha // BLOCK, len(masks)):  # the lane from degree alpha up
                 masks[i] |= lane >> (low := max(alpha - i * BLOCK, 0) * lay.dw) << low + (q - pos) * W
         out.append(g)
     return out[::-1]

@@ -28,15 +28,15 @@ oracle for both the minimal length and the full monic solution set.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import product, repeat
 from operator import mul
 from struct import Struct
 
 from .errors import EnumerationTooLarge, IterationLimitExceeded, MixedRings, PivotNotUnique, ZeroVector
 from .groebner import DEFAULT_MAX_STEPS, GroebnerBasis, buchberger
 from .pbasis import PBasis, build_p_basis
-from .polyvec import TOP, Monomial, Poly, PolyVec, _layout
+from .polyvec import TOP, Monomial, Poly, PolyVec, _layout, _new_object
 from .ring import Zpr
 
 DEFAULT_ENUM_CAP = 10**6
@@ -151,27 +151,33 @@ def _field_basis(S: SequenceInput) -> GroebnerBasis:
     already: e1 and e2 start with lc 1, and a row only ever gets the other
     row added, below its lead, or its lead shifted.  Every term of a at the
     position of b's lead, of degree at least deg b, is then cancelled by a
-    shifted multiple of b, top down: an XOR for p = 2, and for odd p a fold
-    of only the slots the shifted b reaches.  Each step only reaches lower terms of that lane, and a's lead, at the
+    shifted multiple of b, top down: an XOR for p = 2, a fold for odd p.
+    Each step only reaches lower terms of that lane, and a's lead, at the
     other position, never moves.  No term of b is covered by a's lead, so
     this is the reduced basis `GroebnerBasis.from_elements` makes of the
     rows, and as a reduced basis is unique, the one `buchberger` finishes.
+
+    a is read top down through a window of two chunks of max(deg b + 1,
+    deg a / 16, 64) degrees.  No step leaves it, and its top chunk is final
+    once it holds no covered term: a step costs the window, not all of a.
     """
     p, lay = S.ring.p, _layout(S.ring, 2)
     W, fold = lay.W, lay.fold
     a, b = _field_rows(S)
     low = (b.bit_length() - 1) // W * W  # b's lead slot
-    span = (1 << low + W) - 1  # b's slots
-    # the lane of b's position in a, from b's lead degree up
-    while x := (y := a >> low) & lay.lane(y):
-        k = (x.bit_length() - 1) // W * W  # the top term's slot, k // dw degrees above b's lead
-        if p == 2:
-            a ^= b << k
-        else:  # slots never carry, so only the slots of b << k are folded
-            window = a >> k & span
-            a += fold(window + (p - (x >> k)) * b) - window << k
+    span, w, done = (1 << low + W) - 1, 0, 0  # b's slots; the window, and the final chunks above it
+    C = max(low // lay.dw + 1, a.bit_length() // lay.dw // 16, 64) * lay.dw  # a chunk's bits: 17 at most
+    for cut in range((a.bit_length() - 1) // C * C, -1, -C):  # the window moves a chunk down
+        done, w = done << C | w >> C, (w & (1 << C) - 1) << C | a >> cut & (1 << C) - 1
+        while x := (y := w >> low) & lay.lane(y):  # b's lane in the window, from b's lead degree up
+            k = (x.bit_length() - 1) // W * W  # the top term's slot, k // dw degrees above b's lead
+            if p == 2:
+                w ^= b << k
+            else:  # slots never carry, so only the slots of b << k are folded
+                window = w >> k & span
+                w += fold(window + (p - (x >> k)) * b) - window << k
     zero, rows = PolyVec.zero(S.ring, 2), []
-    for v in (a, b):
+    for v in (done << 2 * C | w, b):  # the finished a, and b
         j = (v.bit_length() - 1) // W
         rows.append(zero._like(lay.blocks(v), TOP, (1, Monomial(j // 2, 2 - j % 2), 1)))
     return GroebnerBasis(TOP, tuple(rows))
@@ -311,11 +317,17 @@ def enumerate_shortest(
     if monic_only:
         stage = [f for f in stage if f & low == 1]
     stage = _add_params(stage, rest, p, m, packing)
-    # each int gives way to its polynomial in place, so that the up to 65536
-    # results of the cap are not held as ints and as polynomials at once
+    # below 32 results a step each costs less than the C-level passes; above, the ints give way to
+    # polynomials a slice at a time, so the cap's 65536 results are never ints, bytes and polys at once
     stage.sort()
-    for i, f in enumerate(stage):
-        stage[i] = Poly._trusted(ring, vec.unpack(f.to_bytes(vec.size, "big")))
+    if len(stage) < 32:
+        return [Poly._trusted(ring, vec.unpack(f.to_bytes(vec.size, "big"))) for f in stage]
+    for i in range(0, len(stage), 1024):
+        polys = list(map(_new_object, repeat(Poly, len(ints := stage[i:i + 1024]))))
+        any(map(setattr, polys, repeat("ring"), repeat(ring)))  # setattr gives None: any runs the map out
+        data = b"".join(map(int.to_bytes, ints, repeat(vec.size), repeat("big")))
+        any(map(setattr, polys, repeat("coeffs"), vec.iter_unpack(data)))
+        stage[i:i + 1024] = polys
     return stage
 
 
@@ -339,7 +351,7 @@ def brute_force_shortest(
             raise EnumerationTooLarge(f"{budget} candidates exceed cap {cap}")
         sols = []
         n_checks = n - L
-        for lower in itertools.product(range(m), repeat=L):
+        for lower in product(range(m), repeat=L):
             ok = True
             for j in range(n_checks):
                 acc = vals[j + L]

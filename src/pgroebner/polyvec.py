@@ -309,8 +309,8 @@ def _blocks_of(lay: _Layout, slots: Iterable[tuple[int, int]]) -> tuple[int, ...
         if c := c % m:
             h, j = divmod(k, CHUNK)
             chunks[h] = chunks.get(h, 0) | c << j * W
-    if list(chunks) == [0]:  # one int, as for most vectors
-        return (chunks[0],)
+    if len(chunks) == (0 in chunks):  # one int or none, as for most vectors
+        return (chunks[0],) if chunks else ()
     data: dict[int, bytearray] = {}  # block -> its ints as bytes, sized by its highest
     for h in sorted(chunks, reverse=True):
         b, t = divmod(h, per)
@@ -399,13 +399,20 @@ def _walk(lay: _Layout, blocks: Sequence[int], pos: int = 0) -> Iterator[tuple[i
 
 
 def _lead(lay: _Layout, blocks: tuple[int, ...], order: MonomialOrder) -> tuple[int, Monomial, int]:
-    """(lc, lm, ord(lc)) of nonzero blocks: the one scan of `PolyVec.lead`."""
+    """(lc, lm, ord(lc)) of nonzero blocks: the one scan of `PolyVec.lead`.  Under POT one block
+    is shifted to each position in turn and ANDed with a lane; the first nonzero int's top slot is it."""
     q, W = lay.q, lay.W
     if order is TOP or q == 1:
         x = blocks[-1]
         j = (x.bit_length() - 1) // W
         a, s = divmod(j, q)
         c, alpha, pos = x >> j * W & lay.smask, (len(blocks) - 1) * BLOCK + a, q - s
+    elif len(blocks) == 1:
+        x, pos, lane = blocks[0], 1, lay.lane(blocks[0])
+        while not (y := x >> (q - pos) * W & lane):
+            pos += 1
+        j = (y.bit_length() - 1) // W
+        c, alpha = y >> j * W, j // q
     else:
         pos = 1
         while not (top := _lane_top(lay, blocks, pos)):
@@ -420,7 +427,7 @@ class PolyVec:
     The coefficient of x^alpha*e_pos sits in slot (alpha mod BLOCK)*q + (q - pos)
     of block alpha // BLOCK, W bits per slot (see `_Layout`).  Slot order is
     TOP order, so the TOP leading term is the top slot of the last block;
-    under POT each position's lane mask is tried, position 1 first.  The
+    under POT it is the top slot of the first position's masked lane.  The
     tuple `_blocks` has no trailing zero block (the zero vector is ()) and
     every slot holds a canonical residue, so equal vectors have equal tuples.
 

@@ -525,6 +525,20 @@ def _finish_inputs(rng, ring, q, size):
     return [g for g in out if not g.is_zero()]
 
 
+def _below_units(rng, elements):
+    """POT elements with terms added at the unit positions after each one's lead position,
+    below the unit's degree, and the number of positions so held only below it."""
+    units = {g.lpos(POT): g.deg(POT) for g in elements if g.ord(POT) == g.ring.r}
+    out, below = [], 0
+    for g in elements:
+        extra = {Monomial(rng.randrange(d), P): rng.randrange(1, g.ring.modulus)
+                 for P, d in units.items() if P > g.lpos(POT) and d and rng.randrange(2)}
+        g = g + PolyVec(g.ring, g.q, extra)
+        below += sum(all(a < units[P] for a, at in g.terms if at == P) for P in {m.pos for m in extra})
+        out.append(g)
+    return out, below
+
+
 class TestFinishByPosition:
     """The staircase finish against the cover scan and the rescan it replaced.
 
@@ -600,16 +614,19 @@ class TestFinishByPosition:
         assert reads <= q, reads
 
     def test_pot_finish_reads_grow_linearly_in_q(self, monkeypatch):
-        # up to three reads per element: a fold, the unit position it holds, a fold again
+        # one fold per element; x^2*e_k + e_(k+1) at odd k also reads position k + 1, which
+        # it holds below its unit's degree, and folds again: 1497 reads at q = 600
         q = 600
         reads = self._staircase_reads(monkeypatch, POT, q)
-        assert reads <= 3 * q, reads
+        assert reads <= 5 * q // 2, reads
 
     def test_multi_block_finish_equals_the_reference(self):
         # elements lifted by x^s, s up to 2 blocks, with tails below x^s, then
-        # minimalized: units and tails in several blocks, and q up to 16
-        rng = random.Random(67)
-        cancelled = spans = 0
+        # minimalized: units and tails in several blocks, and q up to 16; under POT
+        # also with unit positions held only below their units' degrees, which the
+        # fold finds and whose reads must cancel nothing
+        rng, aux = random.Random(67), random.Random(68)
+        cancelled = spans = below = 0
         for ring in self.RINGS:
             for q in (1, 2, 5, 16):
                 for order in (TOP, POT):
@@ -626,7 +643,11 @@ class TestFinishByPosition:
                         assert _cancel_unit_tails(norm, order) == tails
                         cancelled += tails != norm
                         spans += any(len(g._blocks) > 1 for g in tails)
-        assert cancelled > 80 and spans > 120, (cancelled, spans)
+                        if order is POT:
+                            held, n = _below_units(aux, norm)
+                            assert _cancel_unit_tails(held, POT) == _reference_cancel_unit_tails(held, POT)
+                            below += n
+        assert cancelled > 80 and spans > 120 and below > 200, (cancelled, spans, below)
 
     def test_pot_cancellations_reach_past_the_input_degrees(self):
         # under POT a unit's terms at later positions may lie above its own degree: cancelling

@@ -542,6 +542,16 @@ def _field_sequences():
     return out
 
 
+def _zero_run_sequences():
+    """Short tails after zero runs that end at and around the 64-degree chunks of the
+    windowed field finish and the blocks, so that a's lead lies far above b's."""
+    rng = random.Random(1996)
+    return [SequenceInput(ring, (0,) * zeros + (rng.randrange(1, ring.p),)
+                          + tuple(rng.randrange(ring.p) for _ in range(n - 1)))
+            for ring in (Zpr(2, 1), Zpr(3, 1), Zpr(7, 1), Zpr(65521, 1))
+            for zeros in (63, 64, 65, 127, 128, 129, 255, 256, 257, 1100) for n in (1, 2, 5, 30, 65)]
+
+
 def _raw_rows(S):
     """The rows a > b of `_field_rows` as vectors."""
     lay, zero = _layout(S.ring, 2), PolyVec.zero(S.ring, 2)
@@ -600,6 +610,12 @@ class TestFieldFinish:
             self._assert_finish(S)
         steps = [_tail_cancellations(S) for S in sequences]
         assert max(steps) >= 2 and steps.count(1) > 10
+        # a's lead three chunks or more above b's: the windowed finish moves its window
+        zero_runs = _zero_run_sequences()
+        for S in zero_runs:
+            self._assert_finish(S)
+        leads = [[g.deg(TOP) for g in _raw_rows(S)] for S in zero_runs]
+        assert sum(a >= 3 * max(b + 1, 64) for a, b in leads) >= 70
         # a row spans three blocks of 256 degrees, and its tail needs hundreds of steps
         assert max(len(g._blocks) for S in sequences for g in _field_basis(S)) == 3
         assert max(steps) > 256
@@ -625,7 +641,7 @@ class TestFieldBasis:
 
     def test_equals_completion_on_seeded_sequences(self):
         sequences = _field_sequences()
-        for S in sequences:
+        for S in sequences + _zero_run_sequences():
             assert _field_basis(S).elements == _reference_basis(S).elements, (S.ring, S.values)
         # the lead degrees reach the third block of 256 degrees
         assert max(g.deg(TOP) for S in sequences for g in _field_basis(S)) > 512

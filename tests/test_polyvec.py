@@ -454,25 +454,36 @@ class TestPackedAgainstDictReference:
         assert zero > 100 and crossed > 100, (zero, crossed)
 
     def test_lead_under_top_and_pot(self):
+        # q up to 64, so that a POT read shifts the block past whole words of slots, and
+        # vectors whose low positions are empty in the top block (or in the only one)
         rng = random.Random(172)
-        differ = 0
+        differ = far = below_top = 0
         for ring in PACKED_RINGS:
-            for q in range(1, 5):
+            for q in (1, 2, 3, 4, 7, 16, 33, 64):
                 for top in EDGE_TOPS:
-                    for _ in range(8):
+                    for _ in range(8 if q <= 4 else 3):
                         v, ref = _pair(rng, ring, q, top)
                         # and one with a term moved far up, past empty blocks
                         w = v.sub_term_mul(v, -1, 3 * BLOCK)
                         rw = ref.sub_term_mul(ref, -1, 3 * BLOCK)
-                        for got, want in ((v, ref), (w, rw)):
+                        # and one without positions below `low`, and one with only its terms
+                        # at positions >= high copied into a block above
+                        low, high = rng.randint(1, q), rng.randint(1, q)
+                        rl = DictVec(ring, q, {m: c for m, c in ref.terms.items() if m.pos >= low})
+                        rh = ref + DictVec(ring, q, {m.shifted(BLOCK + 1): c for m, c in ref.terms.items()
+                                                     if m.pos >= high})
+                        for got, want in ((v, ref), (w, rw), (rl.packed(), rl), (rh.packed(), rh)):
                             for order in (TOP, POT):
                                 if want.is_zero():
                                     with pytest.raises(ZeroVector):
                                         got.lead(order)
                                 else:
                                     assert got.lead(order) == want.lead(order)
+                            if not want.is_zero():
+                                far += got.lm(POT).pos > 8
+                                below_top += got.lm(POT).alpha // BLOCK < len(got._blocks) - 1
                         differ += not ref.is_zero() and v.lm(TOP) != v.lm(POT)
-        assert differ > 200
+        assert differ > 400 and far > 200 and below_top > 600, (differ, far, below_top)
 
     def test_lane_top_is_the_top_term_of_each_position(self):
         rng = random.Random(176)
